@@ -12,7 +12,7 @@ from .butcher import (ButcherTableau, LduFactors, PreconditionerKind,
                       TableauKind, butcher_preconditioner_matrix,
                       gauss_legendre, ldu, nystrom_from, radau_iia,
                       tableau_from_json, weakly_positive_definite)
-from .driver import (ProblemSpec, StepperState, convergence_study,
+from .driver import (ProblemSpec, StepperState, advance, convergence_study,
                      initial_state, integrate, irk_step, irkn_step, l2_error,
                      method_tableau, mms_problem, timestep_rule)
 from .errors import (CoefficientError, ConfigError, FactorizationError,

@@ -8,6 +8,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
+from .stageop import StageOperator
+
 FOV_EIGH_CUTOFF = 600  # full eigh below, Lanczos above
 
 
@@ -32,20 +34,22 @@ def _prec_matrix(prec):
     return np.asarray(P, dtype=float)
 
 
-def _preconditioned_dense(op, prec):
+def preconditioned_dense(op, prec):
+    """Dense A_h, or dense(P_h)^-1 dense(A_h) when prec is given; both
+    are subject to the dense-materialization guard."""
     A = op.materialize()
     P = _prec_matrix(prec)
     if P is None:
         return A
-    Ph = (np.kron(np.eye(op.s), op.M.toarray())
-          + op.h_t ** op.mu * np.kron(P, op.F.toarray()))
+    Ph = StageOperator(P, op.M, op.F, op.h_t, op.mu).materialize()
     return np.linalg.solve(Ph, A)
+
 
 def condition_number(op, prec=None):
     """kappa_2 via singular values of the materialized matrix, or of
     dense(P_h)^-1 dense(A_h) with exact dense inversion when prec is given.
     Subject to the dense-materialization guard."""
-    sv = scipy.linalg.svdvals(_preconditioned_dense(op, prec))
+    sv = scipy.linalg.svdvals(preconditioned_dense(op, prec))
     return sv[0] / sv[-1]
 
 
@@ -76,7 +80,6 @@ def condition_number_iterative(op, prec=None, tol=1e-8, seed=0):
         smin_inv = _sigma_max(lambda x: luA.solve(x),
                               lambda x: luA.solve(x, trans="T"), n, tol, seed)
         return smax * smin_inv
-    from .stageop import StageOperator
     Ph = StageOperator(P, op.M, op.F, op.h_t, op.mu).to_sparse()
     luP = spla.splu(Ph)
     smax = _sigma_max(lambda x: luP.solve(A @ x),
@@ -88,7 +91,7 @@ def condition_number_iterative(op, prec=None, tol=1e-8, seed=0):
 
 def spectrum(op, prec=None, label=""):
     """Full eigenvalue set of the (preconditioned) dense matrix."""
-    B = _preconditioned_dense(op, prec)
+    B = preconditioned_dense(op, prec)
     ev = np.linalg.eigvals(B)
     sv = scipy.linalg.svdvals(B)
     return SpectrumResult(eigenvalues=ev, kappa=sv[0] / sv[-1], label=label)

@@ -12,7 +12,6 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from . import _kernels
 from .errors import CoefficientError
 
 # Six-point symmetric triangle rule, exact for degree 4; weights sum to 1
@@ -31,6 +30,36 @@ QUAD_PHI = np.column_stack([
 ])
 
 _MASS_TEMPLATE = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+
+
+def _tri_geometry(xy):
+    """Signed areas and P1 basis gradients for triangles xy (T, 3, 2)."""
+    e1 = xy[:, 1] - xy[:, 0]
+    e2 = xy[:, 2] - xy[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    area = 0.5 * det
+    grads = np.empty_like(xy)
+    grads[:, 1, 0] = e2[:, 1] / det
+    grads[:, 1, 1] = -e2[:, 0] / det
+    grads[:, 2, 0] = -e1[:, 1] / det
+    grads[:, 2, 1] = e1[:, 0] / det
+    grads[:, 0] = -grads[:, 1] - grads[:, 2]
+    return area, grads
+
+
+def _stiffness_local(area, grads, alpha_q, beta_q):
+    """Local matrices of the bilinear form alpha grad.grad + beta id.id.
+
+    alpha_q, beta_q: coefficient values at the mapped quadrature points,
+    shape (T, Q); the weights sum to 1, so the element integral is
+    area * sum_q w_q f(x_q).
+    """
+    abar = alpha_q @ QUAD_WEIGHTS
+    gdot = np.einsum("tix,tjx->tij", grads, grads)
+    S = (area * abar)[:, None, None] * gdot
+    wb = beta_q * QUAD_WEIGHTS
+    S += area[:, None, None] * np.einsum("tq,qi,qj->tij", wb, QUAD_PHI, QUAD_PHI)
+    return S
 
 
 @dataclass(frozen=True)
@@ -114,7 +143,7 @@ def assemble_mass(mesh):
     """P1 mass matrix; the local matrix (area/12) [[2,1,1],[1,2,1],[1,1,2]]
     is exact for straight triangles."""
     xy = mesh.nodes[mesh.triangles]
-    area, _ = _kernels.tri_geometry(xy)
+    area, _ = _tri_geometry(xy)
     local = area[:, None, None] * _MASS_TEMPLATE[None]
     return _scatter(mesh, local)
 
@@ -127,7 +156,7 @@ def assemble_stiffness(mesh, coeff):
     CoefficientError if alpha <= 0 or beta < 0 at any quadrature point.
     """
     xy = mesh.nodes[mesh.triangles]
-    area, grads = _kernels.tri_geometry(xy)
+    area, grads = _tri_geometry(xy)
     if coeff.is_constant:
         if coeff.const_alpha <= 0.0 or coeff.const_beta < 0.0:
             raise CoefficientError(
@@ -147,19 +176,18 @@ def assemble_stiffness(mesh, coeff):
         raise CoefficientError("alpha <= 0 at a quadrature point")
     if beta_q.min() < 0.0:
         raise CoefficientError("beta < 0 at a quadrature point")
-    local = _kernels.stiffness_local(area, grads, alpha_q, beta_q,
-                                     QUAD_PHI, QUAD_WEIGHTS)
+    local = _stiffness_local(area, grads, alpha_q, beta_q)
     return _scatter(mesh, local)
 
 
 def assemble_load(mesh, f):
     """Load vector of <f, phi_l> with the same degree-4 quadrature."""
     xy = mesh.nodes[mesh.triangles]
-    area, _ = _kernels.tri_geometry(xy)
+    area, _ = _tri_geometry(xy)
     pts = _quad_xy(mesh)
     f_q = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
     f_q = np.broadcast_to(f_q, pts.shape[:2]).copy()
-    local = _kernels.load_local(area, f_q, QUAD_PHI, QUAD_WEIGHTS)
+    local = area[:, None] * np.einsum("tq,q,qi->ti", f_q, QUAD_WEIGHTS, QUAD_PHI)
     out = np.zeros(mesh.num_nodes)
     np.add.at(out, mesh.triangles.ravel(), local.ravel())
     return out

@@ -13,16 +13,14 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import analysis, driver, krylov
 from .assembly import (assemble_mass, assemble_stiffness, coefficient_preset,
                        write_matrix_market, PRESETS)
-from .butcher import PreconditionerKind
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError
 from .mesh import build_hierarchy, build_mesh, write_mesh_text
 from .precond import build_preconditioner
 from .stageop import DENSE_GUARD, StageOperator, build_stage_rhs
@@ -52,7 +50,6 @@ class ExperimentConfig:
     n_angles: int = 128
     t_end: float = 0.5
     kappa_method: str = "auto"  # auto | dense | iterative
-    workers: int = 1
     max_iter: int = 500
 
     def timesteps(self, h, s, kind):
@@ -188,58 +185,20 @@ def _grid(config, ws):
     return cells
 
 
-def _run_cells(config, cells, fn):
-    if config.workers <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = [pool.submit(fn, c) for c in cells]
-        return [f.result() for f in futures]
-
-
 def run_kappa(config):
     """Condition numbers over the (stages x mesh x timestep) grid, one row
     per preconditioner kind plus an unpreconditioned row per cell."""
     ws = _Workspace(config)
-    kinds = ["none"] + list(config.precond)
-
-    def work(cell):
-        s, k, h, h_t = cell
-        out = []
-        for kind in kinds:
+    rows = []
+    for s, k, h, h_t in _grid(config, ws):
+        for kind in ["none"] + list(config.precond):
             kappa, used = _kappa_one(ws, s, k, h_t, kind)
-            out.append({
+            rows.append({
                 "problem": config.problem, "coeff": config.coeff,
                 "method": ws.method_label(s), "s": s, "h": h, "h_t": h_t,
                 "precond": kind, "kappa": kappa, "kappa_method": used,
             })
-        return out
-
-    rows = []
-    for chunk in _run_cells(config, _grid(config, ws), work):
-        rows.extend(chunk)
     return rows
-
-
-def _first_step_system(ws, s, k, h_t):
-    """Stage system of the first timestep from interpolated initial data."""
-    mesh = ws.mesh(k)
-    M, F = ws.matrices(k)
-    problem = ws.problem
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    u0 = problem.exact(x, y, 0.0)
-    udot0 = problem.exact_dt(x, y, 0.0) if ws.mu == 2 else None
-    tableau = ws.tableau(s)
-    op = StageOperator(tableau, M, F, h_t, ws.mu)
-    rhs = build_stage_rhs(mesh, ws.coeff, tableau, h_t, ws.mu, 0.0, u0,
-                          udot0, problem.g, F=F)
-    return op, rhs, u0, udot0
-
-
-def _step_update(ws, tableau, state_u, state_udot, h_t, kvec):
-    K = kvec.reshape(tableau.s, -1)
-    if ws.mu == 1:
-        return state_u + h_t * (tableau.b @ K)
-    return state_u + h_t * state_udot + h_t ** 2 * (tableau.b @ K)
 
 
 def run_gmres(config):
@@ -251,19 +210,20 @@ def run_gmres(config):
     the manufactured solution at t = h_t.
     """
     ws = _Workspace(config)
+    problem = ws.problem
     rows = []
-    nonconverged = False
-
-    def work(cell):
-        s, k, h, h_t = cell
-        op, rhs, u0, udot0 = _first_step_system(ws, s, k, h_t)
+    for s, k, h, h_t in _grid(config, ws):
         mesh = ws.mesh(k)
         M, F = ws.matrices(k)
         tableau = ws.tableau(s)
+        state = driver.initial_state(problem, mesh, h_t)
+        op = ws.operator(s, k, h_t)
+        rhs = build_stage_rhs(mesh, ws.coeff, tableau, h_t, ws.mu, state.t,
+                              state.u, state.udot, problem.g, F=F)
+        exact = problem.exact(mesh.nodes[:, 0], mesh.nodes[:, 1], h_t)
         x_ref = None
         if op.size <= krylov.DIRECT_GUARD:
             x_ref = krylov.reference_solve(op, rhs)
-        out = []
         for kind in config.precond:
             prec = build_preconditioner(
                 tableau, kind, M, F, h_t, ws.mu, subsolve=config.subsolve,
@@ -274,10 +234,8 @@ def run_gmres(config):
             rel_lin = None
             if x_ref is not None:
                 rel_lin = float(np.linalg.norm(xk - x_ref) / np.linalg.norm(x_ref))
-            u1 = _step_update(ws, tableau, u0, udot0, h_t, xk)
-            xs, ys = mesh.nodes[:, 0], mesh.nodes[:, 1]
-            rel_pde = driver.l2_error(M, u1, ws.problem.exact(xs, ys, h_t))
-            out.append({
+            u1 = driver.advance(state, tableau, xk).u
+            rows.append({
                 "problem": config.problem, "coeff": config.coeff,
                 "method": ws.method_label(s), "s": s, "h": h, "h_t": h_t,
                 "precond": kind, "subsolve": config.subsolve,
@@ -287,14 +245,9 @@ def run_gmres(config):
                 "rel_residual": report.rel_residual,
                 "true_rel_residual": report.true_rel_residual,
                 "rel_error_linear": rel_lin,
-                "rel_error_pde": rel_pde,
+                "rel_error_pde": driver.l2_error(M, u1, exact),
             })
-        return out
-
-    for chunk in _run_cells(config, _grid(config, ws), work):
-        rows.extend(chunk)
-        nonconverged |= any(not r["converged"] for r in chunk)
-    return rows, nonconverged
+    return rows, any(not r["converged"] for r in rows)
 
 
 def _cloud_path(config, stem):
@@ -303,78 +256,48 @@ def _cloud_path(config, stem):
     return os.path.join(base, stem)
 
 
-def run_spectrum(config, violations=()):
-    """Eigenvalue point clouds (Re, Im per row) per grid cell and kind,
-    plus summary rows with min |lambda|."""
+def run_cloud(config, violations=()):
+    """Point clouds (Re, Im per row), one file per grid cell and kind,
+    plus summary rows: eigenvalues with min |lambda| and kappa for
+    `spectrum`, field-of-values boundary points with their distance to
+    the origin for `fov`. Cells in `violations` give a skipped row."""
     ws = _Workspace(config)
+    spectrum = config.command == "spectrum"
+    stats = ("min_abs_eig", "kappa") if spectrum else ("fov_min_distance",)
     rows = []
-    kinds = ["none"] + list(config.precond)
     for s, k, h, h_t in _grid(config, ws):
+        cell = {"problem": config.problem, "coeff": config.coeff,
+                "method": ws.method_label(s), "s": s, "h": h, "h_t": h_t}
         if (s, k) in violations:
-            rows.append({"problem": config.problem, "coeff": config.coeff,
-                         "method": ws.method_label(s), "s": s, "h": h,
-                         "h_t": h_t, "precond": "skipped",
-                         "min_abs_eig": None, "kappa": None, "file": "",
+            rows.append({**cell, "precond": "skipped", **dict.fromkeys(stats),
+                         "file": "",
                          "warning": f"s*N = {s * _n_nodes(k)} exceeds dense guard"})
             continue
         M, F = ws.matrices(k)
         op = ws.operator(s, k, h_t)
-        for kind in kinds:
+        for kind in ["none"] + list(config.precond):
             prec = None
             if kind != "none":
                 prec = build_preconditioner(ws.tableau(s), kind, M, F, h_t,
                                             ws.mu, subsolve="exact")
             label = f"{config.problem}_{ws.method_label(s)}_k{k}_{kind}"
-            result = analysis.spectrum(op, prec, label=label)
-            stem = f"spectrum_{label}.csv"
-            path = _cloud_path(config, stem)
-            with open(path, "w", newline="") as fh:
+            if spectrum:
+                result = analysis.spectrum(op, prec, label=label)
+                points = result.eigenvalues
+                values = (float(np.abs(points).min()), result.kappa)
+            else:
+                result = analysis.field_of_values(
+                    analysis.preconditioned_dense(op, prec),
+                    n_angles=config.n_angles)
+                points = result.boundary_points
+                values = (result.min_distance_to_origin,)
+            stem = f"{config.command}_{label}.csv"
+            with open(_cloud_path(config, stem), "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(["re", "im"])
-                for ev in result.eigenvalues:
-                    w.writerow([repr(float(ev.real)), repr(float(ev.imag))])
-            rows.append({"problem": config.problem, "coeff": config.coeff,
-                         "method": ws.method_label(s), "s": s, "h": h,
-                         "h_t": h_t, "precond": kind,
-                         "min_abs_eig": float(np.abs(result.eigenvalues).min()),
-                         "kappa": result.kappa, "file": stem, "warning": ""})
-    return rows
-
-
-def run_fov(config, violations=()):
-    """Field-of-values boundary point clouds and min-distance summaries."""
-    ws = _Workspace(config)
-    rows = []
-    kinds = ["none"] + list(config.precond)
-    for s, k, h, h_t in _grid(config, ws):
-        if (s, k) in violations:
-            rows.append({"problem": config.problem, "coeff": config.coeff,
-                         "method": ws.method_label(s), "s": s, "h": h,
-                         "h_t": h_t, "precond": "skipped",
-                         "fov_min_distance": None, "file": "",
-                         "warning": f"s*N = {s * _n_nodes(k)} exceeds dense guard"})
-            continue
-        M, F = ws.matrices(k)
-        op = ws.operator(s, k, h_t)
-        for kind in kinds:
-            prec = None
-            if kind != "none":
-                prec = build_preconditioner(ws.tableau(s), kind, M, F, h_t,
-                                            ws.mu, subsolve="exact")
-            B = analysis._preconditioned_dense(op, prec)
-            result = analysis.field_of_values(B, n_angles=config.n_angles)
-            label = f"{config.problem}_{ws.method_label(s)}_k{k}_{kind}"
-            stem = f"fov_{label}.csv"
-            path = _cloud_path(config, stem)
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["re", "im"])
-                for z in result.boundary_points:
+                for z in points:
                     w.writerow([repr(float(z.real)), repr(float(z.imag))])
-            rows.append({"problem": config.problem, "coeff": config.coeff,
-                         "method": ws.method_label(s), "s": s, "h": h,
-                         "h_t": h_t, "precond": kind,
-                         "fov_min_distance": result.min_distance_to_origin,
+            rows.append({**cell, "precond": kind, **dict(zip(stats, values)),
                          "file": stem, "warning": ""})
     return rows
 
@@ -511,7 +434,7 @@ def parse_config_file(path):
 _LIST_INT = ("stages", "mesh_k")
 _LIST_FLOAT = ("ht",)
 _LIST_STR = ("precond",)
-_SCALAR_INT = ("seed", "n_angles", "workers", "max_iter")
+_SCALAR_INT = ("seed", "n_angles", "max_iter")
 _SCALAR_FLOAT = ("tol", "t_end")
 
 
@@ -569,7 +492,6 @@ def make_parser():
     p.add_argument("--t-end", dest="t_end", type=float)
     p.add_argument("--kappa-method", dest="kappa_method",
                    choices=("auto", "dense", "iterative"))
-    p.add_argument("--workers", type=int)
     return p
 
 
@@ -581,7 +503,7 @@ def config_from_argv(argv):
     overrides = {}
     for key in ("problem", "coeff", "stages", "mesh_k", "ht", "precond",
                 "subsolve", "tol", "max_iter", "out", "format", "seed",
-                "n_angles", "t_end", "kappa_method", "workers"):
+                "n_angles", "t_end", "kappa_method"):
         val = getattr(args, key)
         if val is not None:
             overrides[key] = val
@@ -603,10 +525,8 @@ def run(config):
         rows = run_kappa(config)
     elif config.command == "gmres":
         rows, nonconverged = run_gmres(config)
-    elif config.command == "spectrum":
-        rows = run_spectrum(config, violations)
-    elif config.command == "fov":
-        rows = run_fov(config, violations)
+    elif config.command in ("spectrum", "fov"):
+        rows = run_cloud(config, violations)
     elif config.command == "mms":
         rows = run_mms(config)
     else:

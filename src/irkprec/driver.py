@@ -8,7 +8,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .assembly import assemble_mass, assemble_stiffness, coefficient_preset
-from .butcher import ButcherTableau, TableauKind, gauss_legendre, nystrom_from, radau_iia
+from .butcher import TableauKind, gauss_legendre, nystrom_from, radau_iia
 from .krylov import reference_solve
 from .stageop import StageOperator, build_stage_rhs
 
@@ -123,24 +123,33 @@ def direct_solver(op, b):
     return reference_solve(op, b), None
 
 
+def advance(state, tableau, k):
+    """The state one step on from the stage solution k: for an IRK state
+    (udot is None) u^n = u^(n-1) + h_t sum_i b_i k_i; for an IRK-Nystrom
+    state u^n = u^(n-1) + h_t udot^(n-1) + h_t^2 sum_i b_i k_i and
+    udot^n = udot^(n-1) + h_t sum_i b'_i k_i."""
+    h_t = state.h_t
+    K = k.reshape(tableau.s, -1)
+    if state.udot is None:
+        return StepperState(state.t + h_t, state.u + h_t * (tableau.b @ K), None, h_t)
+    u_new = state.u + h_t * state.udot + h_t ** 2 * (tableau.b @ K)
+    udot_new = state.udot + h_t * (tableau.b_prime @ K)
+    return StepperState(state.t + h_t, u_new, udot_new, h_t)
+
+
 def irk_step(state, tableau, op, solver, problem, mesh):
-    """One IRK step: solve the stage system, then
-    u^n = u^(n-1) + h_t sum_i b_i k_i."""
+    """One IRK step: solve the stage system, then advance."""
     if problem.mu != 1:
         raise ValueError("irk_step requires a mu = 1 problem")
     h_t = state.h_t
     rhs = build_stage_rhs(mesh, problem.coeff, tableau, h_t, 1, state.t,
                           state.u, None, problem.g, F=op.F)
     k, report = solver(op, rhs)
-    K = k.reshape(tableau.s, -1)
-    u_new = state.u + h_t * (tableau.b @ K)
-    return StepperState(state.t + h_t, u_new, None, h_t), report
+    return advance(state, tableau, k), report
 
 
 def irkn_step(state, tableau, op, solver, problem, mesh):
-    """One IRK-Nystrom step: s stage solves, then
-    u^n = u^(n-1) + h_t udot^(n-1) + h_t^2 sum_i b_i k_i and
-    udot^n = udot^(n-1) + h_t sum_i b'_i k_i."""
+    """One IRK-Nystrom step: solve the stage system, then advance."""
     if problem.mu != 2:
         raise ValueError("irkn_step requires a mu = 2 problem")
     if not tableau.is_nystrom:
@@ -149,10 +158,7 @@ def irkn_step(state, tableau, op, solver, problem, mesh):
     rhs = build_stage_rhs(mesh, problem.coeff, tableau, h_t, 2, state.t,
                           state.u, state.udot, problem.g, F=op.F)
     k, report = solver(op, rhs)
-    K = k.reshape(tableau.s, -1)
-    u_new = state.u + h_t * state.udot + h_t ** 2 * (tableau.b @ K)
-    udot_new = state.udot + h_t * (tableau.b_prime @ K)
-    return StepperState(state.t + h_t, u_new, udot_new, h_t), report
+    return advance(state, tableau, k), report
 
 
 def method_tableau(name, s):

@@ -122,8 +122,9 @@ def gmres(op, prec, b, tol=1e-8, max_iter=500, track_true_residual=False):
         V.append(w / hnext)
 
     x = current_solution(k)
-    prec_res = np.linalg.norm(apply_prec(b - op.apply(x))) / beta
-    true_res = np.linalg.norm(b - op.apply(x)) / norm_b
+    resid = b - op.apply(x)
+    true_res = np.linalg.norm(resid) / norm_b
+    prec_res = np.linalg.norm(apply_prec(resid)) / beta
     report = SolveReport(
         iterations=k,
         wall_time=time.perf_counter() - t0,

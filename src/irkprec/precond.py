@@ -3,7 +3,6 @@ forward or backward substitution with exact or multigrid diagonal subsolves.
 """
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_mass, assemble_stiffness
@@ -99,47 +98,32 @@ class BlockPreconditioner:
         return StageOperator(self.P, self.M, self.F, self.h_t, self.mu)
 
     def apply_inverse(self, r):
+        return self._substitute(r, self.P, self.lower)
+
+    def apply_inverse_transpose(self, r):
+        """Inverse-transpose application; M, F are symmetric so this is
+        substitution with P^T (triangularity flips)."""
+        return self._substitute(r, self.P.T, not self.lower)
+
+    def _substitute(self, r, C, lower):
+        """Stage-wise substitution with I (x) M + h_t^mu C (x) F for a
+        triangular C whose diagonal blocks the subsolvers invert."""
         r = np.asarray(r, dtype=float)
         if r.shape != (self.size,):
             raise ValueError(f"expected stage vector of length {self.size}, got {r.shape}")
         s, N = self.s, self.N
         scale = self.h_t ** self.mu
         z = np.empty_like(r)
-        stages = range(s) if self.lower else range(s - 1, -1, -1)
+        stages = range(s) if lower else range(s - 1, -1, -1)
         for i in stages:
             acc = r[i * N:(i + 1) * N].copy()
-            inner = range(i) if self.lower else range(i + 1, s)
+            inner = range(i) if lower else range(i + 1, s)
             for j in inner:
-                pij = self.P[i, j]
-                if pij != 0.0:
-                    acc -= scale * pij * (self.F @ z[j * N:(j + 1) * N])
+                cij = C[i, j]
+                if cij != 0.0:
+                    acc -= scale * cij * (self.F @ z[j * N:(j + 1) * N])
             z[i * N:(i + 1) * N] = self.subsolvers[i].solve(acc)
         return z
-
-    def apply_inverse_transpose(self, r):
-        """Inverse-transpose application; M, F are symmetric so this is
-        substitution with P^T (triangularity flips)."""
-        r = np.asarray(r, dtype=float)
-        s, N = self.s, self.N
-        scale = self.h_t ** self.mu
-        z = np.empty_like(r)
-        stages = range(s - 1, -1, -1) if self.lower else range(s)
-        for i in stages:
-            acc = r[i * N:(i + 1) * N].copy()
-            inner = range(i + 1, s) if self.lower else range(i)
-            for j in inner:
-                pji = self.P[j, i]
-                if pji != 0.0:
-                    acc -= scale * pji * (self.F @ z[j * N:(j + 1) * N])
-            z[i * N:(i + 1) * N] = self.subsolvers[i].solve(acc)
-        return z
-
-
-def _assemble_level_matrices(hierarchy, coeff):
-    out = []
-    for m in hierarchy.levels:
-        out.append((assemble_mass(m), assemble_stiffness(m, coeff)))
-    return out
 
 
 def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
@@ -148,8 +132,9 @@ def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
 
     subsolve="exact" factorizes each diagonal block M + h_t^mu p_ii F;
     subsolve="vcycle" builds a geometric multigrid hierarchy per distinct
-    diagonal entry, with the per-level matrices re-assembled on each mesh
-    of `hierarchy` (required, together with coeff, in that mode).
+    diagonal entry, with the coarse-level matrices re-assembled on each
+    coarser mesh of `hierarchy` (required, together with coeff, in that
+    mode) and M, F themselves on the finest level.
     """
     kind = PreconditionerKind(kind)
     P = butcher_preconditioner_matrix(tableau, kind)
@@ -159,31 +144,29 @@ def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
     scale = h_t ** mu
 
     if subsolve == "exact":
-        cache = {}
-        subsolvers = []
-        for p in diag:
-            if p not in cache:
-                cache[p] = ExactSubsolver(M + scale * p * F)
-            subsolvers.append(cache[p])
+        def make(p):
+            return ExactSubsolver(M + scale * p * F)
     elif subsolve == "vcycle":
         if hierarchy is None or coeff is None:
             raise ValueError("vcycle subsolves need hierarchy and coeff")
         if hierarchy.finest.num_nodes != M.shape[0]:
             raise ValueError("hierarchy finest mesh does not match M")
-        level_mf = _assemble_level_matrices(hierarchy, coeff)
-        level_mf[-1] = (M, F)  # the operator's own matrices on the finest level
-        cache = {}
-        subsolvers = []
-        for p in diag:
-            if p not in cache:
-                levels = []
-                for li, (Ml, Fl) in enumerate(level_mf):
-                    prol = hierarchy.prolongations[li - 1] if li > 0 else None
-                    levels.append(GridLevel(Ml + scale * p * Fl, prol))
-                levels[0].coarse_lu = spla.splu(levels[0].S.tocsc())
-                cache[p] = VCycleSubsolver(levels)
-            subsolvers.append(cache[p])
+        level_mf = [(assemble_mass(m), assemble_stiffness(m, coeff))
+                    for m in hierarchy.levels[:-1]] + [(M, F)]
+
+        def make(p):
+            levels = []
+            for li, (Ml, Fl) in enumerate(level_mf):
+                prol = hierarchy.prolongations[li - 1] if li > 0 else None
+                levels.append(GridLevel(Ml + scale * p * Fl, prol))
+            levels[0].coarse_lu = spla.splu(levels[0].S.tocsc())
+            return VCycleSubsolver(levels)
     else:
         raise ValueError(f"unknown subsolve mode {subsolve!r}")
 
+    cache = {}
+    for p in diag:
+        if p not in cache:
+            cache[p] = make(p)
+    subsolvers = [cache[p] for p in diag]
     return BlockPreconditioner(kind, P, M, F, h_t, mu, subsolvers, subsolve)

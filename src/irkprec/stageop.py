@@ -8,7 +8,6 @@ is the i-th stage block.
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import assemble_load, assemble_stiffness
 from .butcher import ButcherTableau
@@ -77,10 +76,6 @@ class StageOperator:
         X = x.reshape(self.s, self.N).T
         Y = self.M @ X + (self.h_t ** self.mu) * ((self.F @ X) @ self.coupling)
         return Y.T.ravel()
-
-    def as_linear_operator(self):
-        return spla.LinearOperator(
-            (self.size, self.size), matvec=self.apply, rmatvec=self.apply_transpose)
 
     def materialize(self):
         """Explicit dense I (x) M + h_t^mu C (x) F for spectral analysis."""

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from irkprec import _kernels
-from irkprec.assembly import (QUAD_PHI, QUAD_POINTS, QUAD_WEIGHTS,
-                              CoefficientField, assemble_load, assemble_mass,
-                              assemble_stiffness, coefficient_preset,
-                              read_matrix_market, write_matrix_market)
+from irkprec.assembly import (QUAD_POINTS, QUAD_WEIGHTS, CoefficientField,
+                              assemble_load, assemble_mass, assemble_stiffness,
+                              coefficient_preset, read_matrix_market,
+                              write_matrix_market)
 from irkprec.errors import CoefficientError
 from irkprec.mesh import build_mesh
 
@@ -161,30 +160,6 @@ class TestLoad:
         assert errs[0] < 1e-2
         # the degree-4 rule integrates quadratics exactly per element
         assert errs[2] <= 1e-12
-
-
-class TestKernelPaths:
-    def test_numpy_and_jit_agree(self):
-        if _kernels.stiffness_local_jit is None:
-            pytest.skip("numba path disabled")
-        mesh = build_mesh(2)
-        xy = mesh.nodes[mesh.triangles]
-        area_np, grads_np = _kernels.tri_geometry_numpy(xy)
-        area_jit, grads_jit = _kernels.tri_geometry_jit(xy)
-        assert np.allclose(area_np, area_jit, rtol=1e-15)
-        assert np.allclose(grads_np, grads_jit, rtol=1e-14)
-        rng = np.random.default_rng(3)
-        T, Q = xy.shape[0], QUAD_WEIGHTS.shape[0]
-        alpha_q = 1.0 + 0.5 * rng.random((T, Q))
-        beta_q = rng.random((T, Q))
-        s_np = _kernels.stiffness_local_numpy(area_np, grads_np, alpha_q,
-                                              beta_q, QUAD_PHI, QUAD_WEIGHTS)
-        s_jit = _kernels.stiffness_local_jit(area_np, grads_np, alpha_q,
-                                             beta_q, QUAD_PHI, QUAD_WEIGHTS)
-        assert np.allclose(s_np, s_jit, rtol=1e-13, atol=1e-16)
-        l_np = _kernels.load_local_numpy(area_np, beta_q, QUAD_PHI, QUAD_WEIGHTS)
-        l_jit = _kernels.load_local_jit(area_np, beta_q, QUAD_PHI, QUAD_WEIGHTS)
-        assert np.allclose(l_np, l_jit, rtol=1e-13, atol=1e-16)
 
 
 class TestMatrixMarket:

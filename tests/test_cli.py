@@ -4,11 +4,14 @@ import os
 import numpy as np
 import pytest
 
+from irkprec import driver
+from irkprec.assembly import assemble_mass, assemble_stiffness
 from irkprec.cli import (ExperimentConfig, build_config, config_from_argv,
                          emit, emit_csv, main, parse_config_file, run,
-                         run_export, run_gmres, run_kappa, run_spectrum,
-                         validate)
+                         run_cloud, run_export, run_gmres, run_kappa, validate)
 from irkprec.errors import ConfigError
+from irkprec.mesh import build_mesh
+from irkprec.stageop import StageOperator
 
 
 def tiny_config(**kw):
@@ -123,6 +126,27 @@ class TestGmresCommand:
         rows, _ = run_gmres(config)
         assert rows[0]["iterations"] <= 1
 
+    @pytest.mark.parametrize("problem", ["diffusion", "wave"])
+    def test_pde_error_matches_one_direct_step(self, problem):
+        # the CLI's first step equals one driver step with the direct solver
+        config = tiny_config(command="gmres", problem=problem, stages=(2,),
+                             mesh_k=(2,), precond=("LD",), subsolve="exact",
+                             tol=1e-12)
+        rows, _ = run_gmres(config)
+        h_t = rows[0]["h_t"]
+        mesh = build_mesh(2)
+        spec = driver.mms_problem(problem, config.coeff)
+        tableau = driver.method_tableau(problem, 2)
+        M = assemble_mass(mesh)
+        op = StageOperator(tableau, M, assemble_stiffness(mesh, spec.coeff),
+                           h_t, spec.mu)
+        step = driver.irk_step if spec.mu == 1 else driver.irkn_step
+        state, _ = step(driver.initial_state(spec, mesh, h_t), tableau, op,
+                        driver.direct_solver, spec, mesh)
+        x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+        err = driver.l2_error(M, state.u, spec.exact(x, y, state.t))
+        assert rows[0]["rel_error_pde"] == pytest.approx(err, rel=1e-6)
+
     def test_nonconvergence_flagged_not_dropped(self):
         config = tiny_config(command="gmres", problem="pennes",
                              coeff="variable", stages=(3,), mesh_k=(2,),
@@ -136,25 +160,38 @@ class TestGmresCommand:
         assert code == 2
 
 
-class TestCloudCommands:
-    def test_spectrum_files_and_summary(self, tmp_path):
-        config = tiny_config(command="spectrum", stages=(2,), mesh_k=(1,),
-                             precond=("LD",), out=str(tmp_path))
-        rows = run_spectrum(config, validate(config))
-        assert len(rows) == 2  # none + LD
-        for row in rows:
-            assert (tmp_path / row["file"]).exists()
-            data = np.loadtxt(tmp_path / row["file"], delimiter=",", skiprows=1)
-            assert data.shape == (2 * 25, 2)  # s * N eigenvalues
-        assert rows[1]["min_abs_eig"] > rows[0]["min_abs_eig"]
+CLOUD_STATS = {"spectrum": ["min_abs_eig", "kappa"], "fov": ["fov_min_distance"]}
+CELL_COLUMNS = ["problem", "coeff", "method", "s", "h", "h_t", "precond"]
 
-    def test_guard_violation_produces_warning_row(self, tmp_path):
-        config = tiny_config(command="spectrum", stages=(5,), mesh_k=(7,),
-                             precond=("LD",), out=str(tmp_path))
-        rows = run_spectrum(config, validate(config))
-        assert len(rows) == 1
-        assert rows[0]["precond"] == "skipped"
-        assert "exceeds dense guard" in rows[0]["warning"]
+
+class TestCloudCommands:
+    @pytest.mark.parametrize("command", sorted(CLOUD_STATS))
+    def test_spectrum_files_and_summary(self, tmp_path, command):
+        config = tiny_config(command=command, stages=(2,), mesh_k=(1,),
+                             precond=("LD",), out=str(tmp_path), n_angles=16)
+        rows = run_cloud(config, validate(config))
+        assert len(rows) == 2  # none + LD
+        # s * N eigenvalues, or one boundary point per angle
+        n_points = 2 * 25 if command == "spectrum" else 16
+        for row in rows:
+            assert row["file"].startswith(f"{command}_")
+            data = np.loadtxt(tmp_path / row["file"], delimiter=",", skiprows=1)
+            assert data.shape == (n_points, 2)
+        stat = CLOUD_STATS[command][0]
+        assert rows[1][stat] > rows[0][stat]
+
+    @pytest.mark.parametrize("command", sorted(CLOUD_STATS))
+    def test_guard_violation_produces_warning_row(self, tmp_path, command):
+        config = tiny_config(command=command, stages=(5,), mesh_k=(1, 7),
+                             precond=("LD",), out=str(tmp_path), n_angles=16)
+        rows = run_cloud(config, validate(config))
+        assert len(rows) == 3  # none + LD at k=1, one skipped row at k=7
+        assert rows[2]["precond"] == "skipped"
+        assert "exceeds dense guard" in rows[2]["warning"]
+        columns = CELL_COLUMNS + CLOUD_STATS[command] + ["file", "warning"]
+        assert [list(r) for r in rows] == [columns] * 3
+        assert all(rows[2][c] is None for c in CLOUD_STATS[command])
+        assert rows[2]["file"] == ""
 
     def test_fov_single_entry_matrix(self, tmp_path):
         config = tiny_config(command="fov", problem="klein-gordon",

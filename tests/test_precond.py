@@ -70,10 +70,11 @@ class TestApplyInverse:
                           tol=1e-10)
         assert report.iterations == 1
 
-    def test_inverse_transpose_consistent(self, system_k1):
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_inverse_transpose_consistent(self, system_k1, kind):
         mesh, M, F, _ = system_k1
         t = radau_iia(3)
-        prec = build_preconditioner(t, "LD", M, F, 0.3, 1, subsolve="exact")
+        prec = build_preconditioner(t, kind, M, F, 0.3, 1, subsolve="exact")
         Ph = StageOperator(prec.P, M, F, 0.3, 1).materialize()
         rng = np.random.default_rng(2)
         r = rng.standard_normal(prec.size)
