@@ -55,7 +55,8 @@ def condition_number(op, prec=None):
 
 def _sigma_max(matvec, rmatvec, n, tol, seed):
     v0 = np.random.default_rng(seed).standard_normal(n)
-    lin = spla.LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec)
+    lin = spla.LinearOperator((n, n), matvec=lambda x: matvec(x.ravel()),
+                              rmatvec=lambda x: rmatvec(x.ravel()))
     try:
         s = spla.svds(lin, k=1, which="LM", tol=tol, v0=v0,
                       return_singular_vectors=False, maxiter=5000)
@@ -67,25 +68,23 @@ def _sigma_max(matvec, rmatvec, n, tol, seed):
 
 
 def condition_number_iterative(op, prec=None, tol=1e-8, seed=0):
-    """kappa_2 from the extreme singular values computed iteratively:
-    sigma_max by Lanczos on the operator and sigma_min as 1/sigma_max of
-    its inverse (through sparse LU factorizations). Matches the dense
+    """kappa_2 of P_h^-1 A_h (A_h without prec) from sigma_max by Lanczos
+    and sigma_min as 1/sigma_max of the inverse, A_h^-1 P_h, applied with
+    StageOperator.apply/solve and their transposes. Matches the dense
     route to solver tolerance and has no dense-size guard."""
-    A = op.to_sparse()
-    luA = spla.splu(A)
     n = op.size
     P = _prec_matrix(prec)
     if P is None:
-        smax = _sigma_max(lambda x: A @ x, lambda x: A.T @ x, n, tol, seed)
-        smin_inv = _sigma_max(lambda x: luA.solve(x),
-                              lambda x: luA.solve(x, trans="T"), n, tol, seed)
-        return smax * smin_inv
-    Ph = StageOperator(P, op.M, op.F, op.h_t, op.mu).to_sparse()
-    luP = spla.splu(Ph)
-    smax = _sigma_max(lambda x: luP.solve(A @ x),
-                      lambda x: A.T @ luP.solve(x, trans="T"), n, tol, seed)
-    smin_inv = _sigma_max(lambda x: luA.solve(Ph @ x),
-                          lambda x: Ph.T @ luA.solve(x, trans="T"), n, tol, seed)
+        ident = lambda x: x
+        p_apply = p_apply_t = p_solve = p_solve_t = ident
+    else:
+        Ph = StageOperator(P, op.M, op.F, op.h_t, op.mu)
+        p_apply, p_apply_t = Ph.apply, Ph.apply_transpose
+        p_solve, p_solve_t = Ph.solve, Ph.solve_transpose
+    smax = _sigma_max(lambda x: p_solve(op.apply(x)),
+                      lambda x: op.apply_transpose(p_solve_t(x)), n, tol, seed)
+    smin_inv = _sigma_max(lambda x: op.solve(p_apply(x)),
+                          lambda x: p_apply_t(op.solve_transpose(x)), n, tol, seed)
     return smax * smin_inv
 
 

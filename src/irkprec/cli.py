@@ -99,18 +99,16 @@ def validate(config):
         raise ConfigError("n-angles must be >= 8")
 
     violations = []
-    if config.command in ("spectrum", "fov"):
-        for s in config.stages:
-            for k in config.mesh_k:
-                if s * _n_nodes(k) > DENSE_GUARD:
-                    violations.append((s, k))
-    if config.command == "kappa" and config.kappa_method == "dense":
-        for s in config.stages:
-            for k in config.mesh_k:
-                if s * _n_nodes(k) > DENSE_GUARD:
-                    raise ConfigError(
-                        f"dense kappa requested but s*N = {s * _n_nodes(k)} at "
-                        f"(s={s}, k={k}) exceeds the guard {DENSE_GUARD}")
+    for s in config.stages:
+        for k in config.mesh_k:
+            if s * _n_nodes(k) <= DENSE_GUARD:
+                continue
+            if config.command in ("spectrum", "fov"):
+                violations.append((s, k))
+            elif config.command == "kappa" and config.kappa_method == "dense":
+                raise ConfigError(
+                    f"dense kappa requested but s*N = {s * _n_nodes(k)} at "
+                    f"(s={s}, k={k}) exceeds the guard {DENSE_GUARD}")
     return violations
 
 
@@ -384,25 +382,17 @@ def emit_markdown(rows, command):
 def _markdown_kappa(rows):
     """Pivot: one row per (method, h, h_t), one column per preconditioner,
     mirroring the layout of the published tables."""
-    kinds = []
-    for row in rows:
-        if row["precond"] not in kinds:
-            kinds.append(row["precond"])
+    kinds = list(dict.fromkeys(row["precond"] for row in rows))
     header = ["method", "h", "h_t"] + [
         "kappa(A)" if k == "none" else f"kappa(P_{k}^-1 A)" for k in kinds]
     lines = ["| " + " | ".join(header) + " |",
              "|" + "|".join("---" for _ in header) + "|"]
-    cells = {}
-    order = []
+    cells = {}  # insertion-ordered: first appearance of each row key
     for row in rows:
         key = (row["method"], row["h"], row["h_t"])
-        if key not in cells:
-            cells[key] = {}
-            order.append(key)
-        cells[key][row["precond"]] = row["kappa"]
-    for key in order:
-        method, h, h_t = key
-        vals = [f"{cells[key].get(k, float('nan')):.2f}" for k in kinds]
+        cells.setdefault(key, {})[row["precond"]] = row["kappa"]
+    for (method, h, h_t), kappas in cells.items():
+        vals = [f"{kappas.get(k, float('nan')):.2f}" for k in kinds]
         lines.append(f"| {method} | {h:.6g} | {h_t:.6g} | " + " | ".join(vals) + " |")
     return "\n".join(lines) + "\n"
 
@@ -431,25 +421,16 @@ def parse_config_file(path):
     return values
 
 
-_LIST_INT = ("stages", "mesh_k")
-_LIST_FLOAT = ("ht",)
-_LIST_STR = ("precond",)
-_SCALAR_INT = ("seed", "n_angles", "max_iter")
-_SCALAR_FLOAT = ("tol", "t_end")
+_LISTS = {"stages": int, "mesh_k": int, "ht": float, "precond": str.strip}
+_SCALARS = {"seed": int, "n_angles": int, "max_iter": int, "tol": float, "t_end": float}
 
 
 def _coerce(key, raw):
     try:
-        if key in _LIST_INT:
-            return tuple(int(v) for v in str(raw).split(",") if v.strip() != "")
-        if key in _LIST_FLOAT:
-            return tuple(float(v) for v in str(raw).split(",") if v.strip() != "")
-        if key in _LIST_STR:
-            return tuple(v.strip() for v in str(raw).split(",") if v.strip() != "")
-        if key in _SCALAR_INT:
-            return int(raw)
-        if key in _SCALAR_FLOAT:
-            return float(raw)
+        if key in _LISTS:
+            return tuple(_LISTS[key](v) for v in str(raw).split(",") if v.strip() != "")
+        if key in _SCALARS:
+            return _SCALARS[key](raw)
     except ValueError as exc:
         raise ConfigError(f"field {key}: cannot parse {raw!r}") from exc
     return raw
@@ -500,13 +481,8 @@ def config_from_argv(argv):
     if args.ht and args.ht_rule:
         raise ConfigError("--ht and --ht-rule are mutually exclusive")
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {}
-    for key in ("problem", "coeff", "stages", "mesh_k", "ht", "precond",
-                "subsolve", "tol", "max_iter", "out", "format", "seed",
-                "n_angles", "t_end", "kappa_method"):
-        val = getattr(args, key)
-        if val is not None:
-            overrides[key] = val
+    overrides = {key: val for key, val in vars(args).items()
+                 if val is not None and hasattr(ExperimentConfig, key)}
     command = args.command_flag or args.command or file_values.get("command")
     if not command:
         raise ConfigError("no command given (positional, --command, or config file)")

@@ -28,12 +28,6 @@ class ProblemSpec:
     apply_K: Callable        # (K u*)(x, y, t) in closed form
     g: Callable              # forcing so that d^mu u/dt^mu = -K u + g
 
-    def u0(self, x, y):
-        return self.exact(x, y, 0.0)
-
-    def udot0(self, x, y):
-        return self.exact_dt(x, y, 0.0)
-
     def pde_residual(self, x, y, t):
         """Sampled residual g - d^mu u*/dt^mu - K u* (zero for a correct
         manufactured forcing)."""
@@ -119,7 +113,8 @@ def mms_problem(name, coeff):
 
 
 def direct_solver(op, b):
-    """Default stage-system solver: sparse direct, no report."""
+    """Default stage-system solver: the exact op.solve (factored on the
+    first step, reused by the rest), no report."""
     return reference_solve(op, b), None
 
 
@@ -137,15 +132,19 @@ def advance(state, tableau, k):
     return StepperState(state.t + h_t, u_new, udot_new, h_t)
 
 
+def _step(state, tableau, op, solver, problem, mesh):
+    """Solve the stage system of one step, then advance."""
+    rhs = build_stage_rhs(mesh, problem.coeff, tableau, state.h_t, problem.mu,
+                          state.t, state.u, state.udot, problem.g, F=op.F)
+    k, report = solver(op, rhs)
+    return advance(state, tableau, k), report
+
+
 def irk_step(state, tableau, op, solver, problem, mesh):
     """One IRK step: solve the stage system, then advance."""
     if problem.mu != 1:
         raise ValueError("irk_step requires a mu = 1 problem")
-    h_t = state.h_t
-    rhs = build_stage_rhs(mesh, problem.coeff, tableau, h_t, 1, state.t,
-                          state.u, None, problem.g, F=op.F)
-    k, report = solver(op, rhs)
-    return advance(state, tableau, k), report
+    return _step(state, tableau, op, solver, problem, mesh)
 
 
 def irkn_step(state, tableau, op, solver, problem, mesh):
@@ -154,11 +153,7 @@ def irkn_step(state, tableau, op, solver, problem, mesh):
         raise ValueError("irkn_step requires a mu = 2 problem")
     if not tableau.is_nystrom:
         raise ValueError("irkn_step requires a Nystrom tableau (b_prime present)")
-    h_t = state.h_t
-    rhs = build_stage_rhs(mesh, problem.coeff, tableau, h_t, 2, state.t,
-                          state.u, state.udot, problem.g, F=op.F)
-    k, report = solver(op, rhs)
-    return advance(state, tableau, k), report
+    return _step(state, tableau, op, solver, problem, mesh)
 
 
 def method_tableau(name, s):

@@ -5,7 +5,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import ResourceLimitError
 
@@ -28,7 +27,6 @@ class SolveReport:
     true_rel_residual: float
     converged: bool
     breakdown: bool = False
-    rel_error: Optional[float] = None
     residual_history: list = field(default_factory=list)
     true_residual_history: Optional[list] = None
 
@@ -49,8 +47,10 @@ def gmres(op, prec, b, tol=1e-8, max_iter=500, track_true_residual=False):
 
     Convergence is declared when ||P^-1 (b - A x)|| / ||P^-1 b|| <= tol,
     monitored through the Givens recurrence. Exceeding max_iter returns
-    the report with converged=False rather than raising; an exact Arnoldi
-    breakdown returns the current (exact) iterate.
+    the report with converged=False rather than raising. An Arnoldi
+    breakdown (closed Krylov space, or a singular system) returns the
+    iterate of the last nonsingular column with breakdown=True, converged
+    only if its recomputed preconditioned residual is <= tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -93,12 +93,17 @@ def gmres(op, prec, b, tol=1e-8, max_iter=500, track_true_residual=False):
             w -= H[i, j] * V[i]
         hnext = np.linalg.norm(w)
         H[j + 1, j] = hnext
+        col_norm = np.linalg.norm(H[:j + 2, j])  # = ||P^-1 A v_j||, kept by rotations
 
         for i in range(j):
             t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
             H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
             H[i, j] = t
         r = np.hypot(H[j, j], H[j + 1, j])
+        if r <= BREAKDOWN_TOL * col_norm:
+            # singular system: stop at the last nonsingular column
+            breakdown = True
+            break
         cs[j] = H[j, j] / r
         sn[j] = H[j + 1, j] / r
         H[j, j] = r
@@ -115,9 +120,8 @@ def gmres(op, prec, b, tol=1e-8, max_iter=500, track_true_residual=False):
         if res <= tol:
             converged = True
             break
-        if hnext <= BREAKDOWN_TOL * beta:
+        if hnext <= BREAKDOWN_TOL * col_norm:
             breakdown = True
-            converged = True
             break
         V.append(w / hnext)
 
@@ -125,6 +129,8 @@ def gmres(op, prec, b, tol=1e-8, max_iter=500, track_true_residual=False):
     resid = b - op.apply(x)
     true_res = np.linalg.norm(resid) / norm_b
     prec_res = np.linalg.norm(apply_prec(resid)) / beta
+    if breakdown:
+        converged = bool(prec_res <= tol)
     report = SolveReport(
         iterations=k,
         wall_time=time.perf_counter() - t0,
@@ -139,13 +145,12 @@ def gmres(op, prec, b, tol=1e-8, max_iter=500, track_true_residual=False):
 
 
 def reference_solve(op, b):
-    """Sparse direct solution of the full stage system; the oracle for
-    relative-error columns."""
+    """Exact solution of the full stage system by op.solve, whose factors
+    stay cached on op; the oracle for relative-error columns."""
     if op.size > DIRECT_GUARD:
         raise ResourceLimitError(
             f"s*N = {op.size} exceeds direct-solve guard {DIRECT_GUARD}")
-    lu = spla.splu(op.to_sparse())
-    return lu.solve(np.asarray(b, dtype=float))
+    return op.solve(b)
 
 
 def residual_history_csv(report):

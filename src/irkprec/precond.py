@@ -1,5 +1,6 @@
 """Block preconditioners I (x) M + h_t^mu P (x) F applied by stage-wise
-forward or backward substitution with exact or multigrid diagonal subsolves.
+forward or backward substitution (StageOperator's solve) with exact or
+multigrid diagonal subsolves.
 """
 
 import numpy as np
@@ -69,61 +70,25 @@ class VCycleSubsolver:
         return vcycle(self.levels, r, len(self.levels) - 1)
 
 
-class BlockPreconditioner:
-    """Ready-to-apply block preconditioner.
-
-    Lower-triangular kinds substitute forward over stages, upper-triangular
-    kinds backward; J solves the diagonal blocks independently.
+class BlockPreconditioner(StageOperator):
+    """Ready-to-apply block preconditioner: the stage operator of its
+    triangular P, solved by stage-wise substitution (forward for the lower
+    kinds, backward for the upper ones) with the given per-stage
+    subsolvers of the diagonal blocks, exact or V-cycle.
     """
 
-    def __init__(self, kind, P, M, F, h_t, mu, subsolvers, subsolve):
+    def __init__(self, kind, P, M, F, h_t, mu, subsolvers):
+        super().__init__(P, M, F, h_t, mu)
         self.kind = kind
         self.P = P
-        self.M = M
-        self.F = F
-        self.h_t = float(h_t)
-        self.mu = int(mu)
         self.subsolvers = subsolvers    # one per stage
-        self.subsolve = subsolve
-        self.s = P.shape[0]
-        self.N = M.shape[0]
-        self.lower = is_lower_kind(kind)
 
-    @property
-    def size(self):
-        return self.s * self.N
+    def _factor(self):
+        blocks = [(i, i + 1, sub) for i, sub in enumerate(self.subsolvers)]
+        return None, self.P, is_lower_kind(self.kind), blocks
 
-    def as_stage_operator(self):
-        """The operator I (x) M + h_t^mu P (x) F this preconditioner inverts."""
-        return StageOperator(self.P, self.M, self.F, self.h_t, self.mu)
-
-    def apply_inverse(self, r):
-        return self._substitute(r, self.P, self.lower)
-
-    def apply_inverse_transpose(self, r):
-        """Inverse-transpose application; M, F are symmetric so this is
-        substitution with P^T (triangularity flips)."""
-        return self._substitute(r, self.P.T, not self.lower)
-
-    def _substitute(self, r, C, lower):
-        """Stage-wise substitution with I (x) M + h_t^mu C (x) F for a
-        triangular C whose diagonal blocks the subsolvers invert."""
-        r = np.asarray(r, dtype=float)
-        if r.shape != (self.size,):
-            raise ValueError(f"expected stage vector of length {self.size}, got {r.shape}")
-        s, N = self.s, self.N
-        scale = self.h_t ** self.mu
-        z = np.empty_like(r)
-        stages = range(s) if lower else range(s - 1, -1, -1)
-        for i in stages:
-            acc = r[i * N:(i + 1) * N].copy()
-            inner = range(i) if lower else range(i + 1, s)
-            for j in inner:
-                cij = C[i, j]
-                if cij != 0.0:
-                    acc -= scale * cij * (self.F @ z[j * N:(j + 1) * N])
-            z[i * N:(i + 1) * N] = self.subsolvers[i].solve(acc)
-        return z
+    apply_inverse = StageOperator.solve
+    apply_inverse_transpose = StageOperator.solve_transpose  # substitution with P^T
 
 
 def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
@@ -164,9 +129,6 @@ def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
     else:
         raise ValueError(f"unknown subsolve mode {subsolve!r}")
 
-    cache = {}
-    for p in diag:
-        if p not in cache:
-            cache[p] = make(p)
+    cache = {p: make(p) for p in dict.fromkeys(diag)}
     subsolvers = [cache[p] for p in diag]
-    return BlockPreconditioner(kind, P, M, F, h_t, mu, subsolvers, subsolve)
+    return BlockPreconditioner(kind, P, M, F, h_t, mu, subsolvers)

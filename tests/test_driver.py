@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from irkprec.assembly import (assemble_mass, assemble_stiffness,
                               coefficient_preset)
@@ -10,6 +11,7 @@ from irkprec.driver import (ProblemSpec, StepperState, convergence_study,
                             initial_state, integrate, irk_step, irkn_step,
                             l2_error, method_tableau, mms_problem,
                             timestep_rule)
+from irkprec import stageop
 from irkprec.mesh import build_mesh
 from irkprec.stageop import StageOperator
 
@@ -262,6 +264,21 @@ class TestIntegration:
         tableau = radau_iia(2)
         state, M = integrate(problem, tableau, mesh, 0.21, 0.5)
         assert state.t == pytest.approx(0.5, abs=1e-14)
+
+    def test_integrate_factors_once(self, monkeypatch):
+        # Radau IIA s=2 has one complex-conjugate eigenvalue pair: one
+        # complex LU serves every step of the march
+        calls = []
+
+        def counting_splu(A, *args, **kwargs):
+            calls.append(A.shape)
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(stageop, "splu", counting_splu)
+        problem = mms_problem("diffusion", "constant-diffusion")
+        state, _ = integrate(problem, radau_iia(2), build_mesh(2), 0.1, 0.5)
+        assert round(state.t / state.h_t) == 5
+        assert len(calls) == 1
 
     def test_quick_convergence_order(self):
         study = convergence_study("diffusion", "constant-diffusion", 2,

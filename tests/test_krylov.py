@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -37,9 +39,7 @@ class TestGmres:
 
     def test_exact_inverse_preconditioner_one_iteration(self, diffusion_system):
         *_, op, b = diffusion_system
-        import scipy.sparse.linalg as spla
-        lu = spla.splu(op.to_sparse())
-        x, report = gmres(op, lu.solve, b, tol=1e-8)
+        x, report = gmres(op, op.solve, b, tol=1e-8)
         assert report.iterations == 1
         assert report.converged
 
@@ -86,6 +86,31 @@ class TestGmres:
         x, report = gmres(op, None, b, tol=1e-16, max_iter=10)
         assert np.allclose(x, b / 2.0, atol=1e-14)
         assert report.iterations <= 2
+
+    def test_singular_breakdown_is_reported_not_converged(self):
+        # A = diag(1, 0) and b = (1, 1): the second Arnoldi column is
+        # dependent, b is not in the range of A, and no division by zero
+        # may happen on the way
+        M = sp.diags([1.0, 0.0]).tocsr()
+        F = sp.csr_matrix((2, 2))
+        op = StageOperator(np.zeros((1, 1)), M, F, 1.0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, report = gmres(op, None, np.array([1.0, 1.0]), tol=1e-8)
+        assert report.breakdown
+        assert not report.converged
+        assert report.iterations == 1
+        assert np.all(np.isfinite(x))
+        assert report.true_rel_residual > 1e-8
+
+    def test_breakdown_test_independent_of_rhs_scale(self, diffusion_system):
+        # the breakdown threshold scales with the operator, not with b
+        *_, op, b = diffusion_system
+        _, ref = gmres(op, None, b, tol=1e-8, max_iter=400)
+        x, report = gmres(op, None, 1e14 * b, tol=1e-8, max_iter=400)
+        assert not report.breakdown
+        assert report.converged
+        assert report.iterations == ref.iterations
 
     def test_invalid_arguments(self, diffusion_system):
         *_, op, b = diffusion_system

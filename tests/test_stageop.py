@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import splu
 
+from irkprec import stageop
 from irkprec.assembly import assemble_mass, assemble_stiffness, coefficient_preset
-from irkprec.butcher import gauss_legendre, nystrom_from, radau_iia
-from irkprec.errors import ResourceLimitError
+from irkprec.butcher import (butcher_preconditioner_matrix, gauss_legendre,
+                             nystrom_from, radau_iia)
+from irkprec.errors import FactorizationError, ResourceLimitError
 from irkprec.mesh import build_mesh
+from irkprec.precond import build_preconditioner
 from irkprec.stageop import StageOperator, build_stage_rhs
 
 
@@ -70,6 +75,8 @@ class TestApply:
         op = StageOperator(radau_iia(2), M, F, 0.5, 1)
         with pytest.raises(ValueError):
             op.apply(np.zeros(op.size + 1))
+        with pytest.raises(ValueError):
+            op.apply_transpose(np.zeros(op.size + 1))
 
     def test_matvec_counters(self, small_system):
         _, M, F = small_system
@@ -81,6 +88,9 @@ class TestApply:
         assert op.n_stiffness_matvecs == 6
         op.reset_counters()
         assert op.n_mass_matvecs == 0
+        op.apply_transpose(x)
+        assert op.n_mass_matvecs == 3
+        assert op.n_stiffness_matvecs == 3
 
     def test_transpose_consistent(self, small_system):
         _, M, F = small_system
@@ -124,10 +134,91 @@ class TestMaterialize:
         with pytest.raises(ResourceLimitError):
             op.materialize()
 
-    def test_to_sparse_matches_dense(self, small_system):
+
+
+TABLEAUS = {"radau-iia": radau_iia,
+            "gauss-legendre-nystrom": lambda s: nystrom_from(gauss_legendre(s))}
+ALL_KINDS = ("J", "GSL", "TRIU", "LD", "DU")
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def stage_cases(draw, couplings=("A",) + ALL_KINDS):
+    """(tableau, coupling name, C, h_t, mu, rng) over s = 1..5, both
+    tableaus, the Butcher matrix and every preconditioner matrix."""
+    t = TABLEAUS[draw(st.sampled_from(sorted(TABLEAUS)))](draw(st.integers(1, 5)))
+    which = draw(st.sampled_from(couplings))
+    C = t.A if which == "A" else butcher_preconditioner_matrix(t, which)
+    h_t = draw(st.floats(1e-3, 1.0))
+    mu = draw(st.sampled_from((1, 2)))
+    return t, which, C, h_t, mu, np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+
+
+@pytest.fixture(scope="module")
+def variable_system():
+    mesh = build_mesh(1)
+    return assemble_mass(mesh), assemble_stiffness(mesh, coefficient_preset("variable"))
+
+
+class TestSolve:
+    @PROPERTY
+    @given(case=stage_cases())
+    def test_apply_undoes_solve(self, variable_system, case):
+        M, F = variable_system
+        _, _, C, h_t, mu, rng = case
+        op = StageOperator(C, M, F, h_t, mu)
+        r = rng.standard_normal(op.size)
+        assert np.linalg.norm(op.apply(op.solve(r)) - r) <= 1e-11 * np.linalg.norm(r)
+
+    @PROPERTY
+    @given(case=stage_cases())
+    def test_solve_matches_dense(self, variable_system, case):
+        M, F = variable_system
+        _, _, C, h_t, mu, rng = case
+        op = StageOperator(C, M, F, h_t, mu)
+        r = rng.standard_normal(op.size)
+        x = np.linalg.solve(op.materialize(), r)
+        assert np.linalg.norm(op.solve(r) - x) <= 1e-11 * np.linalg.norm(x)
+
+    @PROPERTY
+    @given(case=stage_cases())
+    def test_solve_transpose_is_adjoint(self, variable_system, case):
+        M, F = variable_system
+        _, _, C, h_t, mu, rng = case
+        op = StageOperator(C, M, F, h_t, mu)
+        x, y = rng.standard_normal((2, op.size))
+        u, v = op.solve(x), op.solve_transpose(y)
+        assert abs(u @ y - x @ v) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(y)
+
+    @PROPERTY
+    @given(case=stage_cases(couplings=ALL_KINDS))
+    def test_exact_preconditioner_is_the_solve(self, variable_system, case):
+        M, F = variable_system
+        t, kind, _, h_t, mu, rng = case
+        prec = build_preconditioner(t, kind, M, F, h_t, mu, subsolve="exact")
+        op = StageOperator(prec.P, M, F, h_t, mu)
+        r = rng.standard_normal(op.size)
+        assert np.array_equal(prec.apply_inverse(r), op.solve(r))
+        assert np.array_equal(prec.apply_inverse_transpose(r), op.solve_transpose(r))
+
+    def test_nothing_factored_before_first_solve(self, small_system, monkeypatch):
         _, M, F = small_system
-        op = StageOperator(radau_iia(2), M, F, 0.7, 1)
-        assert np.allclose(op.to_sparse().toarray(), op.materialize(), atol=1e-14)
+        calls = []
+        monkeypatch.setattr(stageop, "splu", lambda A: calls.append(A) or splu(A))
+        op = StageOperator(radau_iia(3), M, F, 0.4, 1)
+        op.apply(np.ones(op.size))
+        assert calls == []
+        r = np.ones(op.size)
+        assert np.array_equal(op.solve(r), op.solve(r))
+        assert len(calls) == 2  # one real eigenvalue, one conjugate pair
+
+    def test_unstandardized_schur_block_rejected(self, small_system, monkeypatch):
+        _, M, F = small_system
+        T = np.array([[1.0, 2.0], [-1.0, 1.5]])  # unequal diagonal
+        monkeypatch.setattr(stageop, "schur", lambda C, output: (T, np.eye(2)))
+        op = StageOperator(radau_iia(2), M, F, 0.5, 1)
+        with pytest.raises(FactorizationError):
+            op.solve(np.ones(op.size))
 
 
 class TestStageRhs:
