@@ -20,6 +20,7 @@ import numpy as np
 from . import analysis, driver, krylov
 from .assembly import (assemble_mass, assemble_stiffness, coefficient_preset,
                        write_matrix_market, PRESETS)
+from .butcher import butcher_preconditioner_matrix
 from .errors import ConfigError
 from .mesh import build_hierarchy, build_mesh, write_mesh_text
 from .precond import build_preconditioner
@@ -154,15 +155,19 @@ class _Workspace:
         t = self.tableau(s)
         return f"{t.kind.value}-{s}"
 
+    def prec_matrix(self, s, kind):
+        """The s x s preconditioner matrix of `kind`, None for "none": the
+        kappa, spectrum and fov routes build P_h from it and never apply
+        a factored preconditioner."""
+        if kind == "none":
+            return None
+        return butcher_preconditioner_matrix(self.tableau(s), kind)
+
 
 def _kappa_one(ws, s, k, h_t, kind):
     config = ws.config
     op = ws.operator(s, k, h_t)
-    prec = None
-    if kind != "none":
-        M, F = ws.matrices(k)
-        prec = build_preconditioner(ws.tableau(s), kind, M, F, h_t, ws.mu,
-                                    subsolve="exact")
+    prec = ws.prec_matrix(s, kind)
     method = config.kappa_method
     if method == "auto":
         method = "dense" if op.size <= KAPPA_DENSE_CUTOFF else "iterative"
@@ -271,13 +276,9 @@ def run_cloud(config, violations=()):
                          "file": "",
                          "warning": f"s*N = {s * _n_nodes(k)} exceeds dense guard"})
             continue
-        M, F = ws.matrices(k)
         op = ws.operator(s, k, h_t)
         for kind in ["none"] + list(config.precond):
-            prec = None
-            if kind != "none":
-                prec = build_preconditioner(ws.tableau(s), kind, M, F, h_t,
-                                            ws.mu, subsolve="exact")
+            prec = ws.prec_matrix(s, kind)
             label = f"{config.problem}_{ws.method_label(s)}_k{k}_{kind}"
             if spectrum:
                 result = analysis.spectrum(op, prec, label=label)

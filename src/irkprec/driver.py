@@ -7,17 +7,26 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import assemble_mass, assemble_stiffness, coefficient_preset
+from .assembly import (assemble_load, assemble_mass, assemble_stiffness,
+                       coefficient_preset)
 from .butcher import TableauKind, gauss_legendre, nystrom_from, radau_iia
 from .krylov import reference_solve
-from .stageop import StageOperator, build_stage_rhs
+from .stageop import StageOperator, _stage_rhs
 
 PROBLEM_NAMES = ("diffusion", "pennes", "wave", "klein-gordon")
 
 
 @dataclass
 class ProblemSpec:
-    """A PDE instance with a manufactured exact solution and its forcing."""
+    """A PDE instance with a manufactured exact solution and its forcing.
+
+    The forcing g is stored as separable modes: `forcing` is a tuple of
+    (a(t), p(x, y)) pairs and g(x, y, t) = sum_m a_m(t) p_m(x, y). A
+    manufactured solution u* = T(t) w(x, y) has g = T^(mu)(t) w + T(t) K w,
+    two fixed spatial profiles scaled by functions of time alone. Since the
+    load <g, phi> is linear in g, it is sum_m a_m(t) <p_m, phi>, so a march
+    assembles one load vector per mode instead of one per stage and step.
+    """
 
     name: str
     mu: int
@@ -26,7 +35,15 @@ class ProblemSpec:
     exact_dt: Callable       # du*/dt
     exact_dmu: Callable      # mu-th time derivative of u*
     apply_K: Callable        # (K u*)(x, y, t) in closed form
-    g: Callable              # forcing so that d^mu u/dt^mu = -K u + g
+    forcing: tuple           # ((a(t), p(x, y)), ...) with g = sum a p
+
+    def g(self, x, y, t):
+        """Forcing so that d^mu u/dt^mu = -K u + g; zeros shaped like x
+        when there are no modes."""
+        out = np.zeros_like(np.asarray(x, dtype=float))
+        for a, p in self.forcing:
+            out = out + a(t) * p(x, y)
+        return out
 
     def pde_residual(self, x, y, t):
         """Sampled residual g - d^mu u*/dt^mu - K u* (zero for a correct
@@ -108,7 +125,7 @@ def mms_problem(name, coeff):
         exact_dt=lambda x, y, t: dT(t) * w(x, y),
         exact_dmu=lambda x, y, t: dmuT(t) * w(x, y),
         apply_K=lambda x, y, t: T(t) * K_of_w(x, y),
-        g=lambda x, y, t: dmuT(t) * w(x, y) + T(t) * K_of_w(x, y),
+        forcing=((dmuT, w), (T, K_of_w)),
     )
 
 
@@ -132,28 +149,42 @@ def advance(state, tableau, k):
     return StepperState(state.t + h_t, u_new, udot_new, h_t)
 
 
-def _step(state, tableau, op, solver, problem, mesh):
-    """Solve the stage system of one step, then advance."""
-    rhs = build_stage_rhs(mesh, problem.coeff, tableau, state.h_t, problem.mu,
-                          state.t, state.u, state.udot, problem.g, F=op.F)
+def forcing_loads(problem, mesh):
+    """The load vectors <p_m, phi> of the forcing modes, an m x N array."""
+    return np.array([assemble_load(mesh, p) for _, p in problem.forcing]
+                    ).reshape(-1, mesh.num_nodes)
+
+
+def _step(state, tableau, op, solver, problem, mesh, loads):
+    """Solve the stage system of one step, then advance. Stage i's load
+    is sum_m a_m(t + c_i h_t) L_m over the mode loads L = `loads`
+    (assembled here when None)."""
+    if loads is None:
+        loads = forcing_loads(problem, mesh)
+    times = state.t + tableau.c * state.h_t
+    scales = np.array([[a(t) for a, _ in problem.forcing] for t in times])
+    rhs = _stage_rhs(scales @ loads, op.F, tableau.c, state.h_t, problem.mu,
+                     state.u, state.udot)
     k, report = solver(op, rhs)
     return advance(state, tableau, k), report
 
 
-def irk_step(state, tableau, op, solver, problem, mesh):
-    """One IRK step: solve the stage system, then advance."""
+def irk_step(state, tableau, op, solver, problem, mesh, loads=None):
+    """One IRK step: solve the stage system, then advance. `loads` are
+    the problem's `forcing_loads` on mesh, assembled when not given."""
     if problem.mu != 1:
         raise ValueError("irk_step requires a mu = 1 problem")
-    return _step(state, tableau, op, solver, problem, mesh)
+    return _step(state, tableau, op, solver, problem, mesh, loads)
 
 
-def irkn_step(state, tableau, op, solver, problem, mesh):
-    """One IRK-Nystrom step: solve the stage system, then advance."""
+def irkn_step(state, tableau, op, solver, problem, mesh, loads=None):
+    """One IRK-Nystrom step: solve the stage system, then advance.
+    `loads` as for irk_step."""
     if problem.mu != 2:
         raise ValueError("irkn_step requires a mu = 2 problem")
     if not tableau.is_nystrom:
         raise ValueError("irkn_step requires a Nystrom tableau (b_prime present)")
-    return _step(state, tableau, op, solver, problem, mesh)
+    return _step(state, tableau, op, solver, problem, mesh, loads)
 
 
 def method_tableau(name, s):
@@ -175,18 +206,23 @@ def integrate(problem, tableau, mesh, h_t, t_end, solver=direct_solver,
               M=None, F=None):
     """March the problem from 0 to t_end with a step count chosen so the
     final time is hit exactly (the actual step is t_end / ceil(t_end/h_t),
-    never larger than the requested h_t)."""
+    never larger than the requested h_t).
+
+    The forcing modes' loads are assembled once per call, before the
+    first step (and so before the solver factors), and every stage load
+    of the march is a combination of them."""
     if M is None:
         M = assemble_mass(mesh)
     if F is None:
         F = assemble_stiffness(mesh, problem.coeff)
+    loads = forcing_loads(problem, mesh)
     n_steps = max(1, math.ceil(t_end / h_t - 1e-12))
     h_t = t_end / n_steps
     op = StageOperator(tableau, M, F, h_t, problem.mu)
     state = initial_state(problem, mesh, h_t)
     step = irk_step if problem.mu == 1 else irkn_step
     for _ in range(n_steps):
-        state, _ = step(state, tableau, op, solver, problem, mesh)
+        state, _ = step(state, tableau, op, solver, problem, mesh, loads)
     return state, M
 
 

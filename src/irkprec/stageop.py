@@ -163,22 +163,23 @@ def build_stage_rhs(mesh, coeff, tableau, h_t, mu, t_prev, u_prev,
     Block i is <g(., t_prev + c_i h_t), phi> - F (u_prev + (mu-1) h_t c_i
     udot_prev): the weak form of the stage equations with the previous
     solution moved to the right under the operator K (the data enters
-    through -K, not additively).
+    through -K, not additively). Assembles one load per stage from the
+    callable g; `driver.integrate` instead combines loads it assembled
+    once per forcing mode.
     """
     if mu == 2 and udot_prev is None:
         raise ValueError("udot_prev is required when mu = 2")
     if F is None:
         F = assemble_stiffness(mesh, coeff)
-    u_prev = np.asarray(u_prev, dtype=float)
-    s = tableau.s
-    N = u_prev.shape[0]
-    rhs = np.empty(s * N)
-    for i in range(s):
-        ci = tableau.c[i]
-        ti = t_prev + ci * h_t
-        load = assemble_load(mesh, lambda x, y: g(x, y, ti))
-        w = u_prev
-        if mu == 2:
-            w = u_prev + h_t * ci * np.asarray(udot_prev, dtype=float)
-        rhs[i * N:(i + 1) * N] = load - F @ w
-    return rhs
+    loads = np.array([assemble_load(mesh, lambda x, y: g(x, y, t_prev + ci * h_t))
+                      for ci in tableau.c])
+    return _stage_rhs(loads, F, tableau.c, h_t, mu, u_prev, udot_prev)
+
+
+def _stage_rhs(loads, F, c, h_t, mu, u_prev, udot_prev):
+    """The stage vector with block i = loads[i] - F (u_prev + (mu-1) h_t
+    c_i udot_prev), from an s x N array of stage loads."""
+    W = np.asarray(u_prev, dtype=float)[None, :]
+    if mu == 2:
+        W = W + np.outer(h_t * c, np.asarray(udot_prev, dtype=float))
+    return (loads - (F @ W.T).T).ravel()

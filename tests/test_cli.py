@@ -1,16 +1,18 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from irkprec import driver
+from irkprec import analysis, cli, driver
 from irkprec.assembly import assemble_mass, assemble_stiffness
 from irkprec.cli import (ExperimentConfig, build_config, config_from_argv,
                          emit, emit_csv, main, parse_config_file, run,
                          run_cloud, run_export, run_gmres, run_kappa, validate)
 from irkprec.errors import ConfigError
 from irkprec.mesh import build_mesh
+from irkprec.precond import build_preconditioner
 from irkprec.stageop import StageOperator
 
 
@@ -102,6 +104,30 @@ class TestKappaCommand:
         rows = run_kappa(tiny_config(stages=(2,), precond=("LD",)))
         by_kind = {r["precond"]: r["kappa"] for r in rows}
         assert by_kind["LD"] < by_kind["none"]
+
+    @pytest.mark.parametrize("command,route", [
+        ("kappa", "dense"), ("kappa", "iterative"), ("spectrum", "dense"),
+        ("fov", "dense")])
+    def test_rows_need_no_factored_preconditioner(self, tmp_path, monkeypatch,
+                                                  command, route):
+        # these routes use only the s x s matrix P: no subsolver LU is built
+        config = tiny_config(command=command, stages=(2,), precond=("J", "LD"),
+                             kappa_method=route, out=str(tmp_path), n_angles=16)
+        ws = cli._Workspace(config)
+        M, F = ws.matrices(1)
+        op = ws.operator(2, 1, ws.mesh(1).h)
+        expected = analysis.condition_number(
+            op, build_preconditioner(ws.tableau(2), "LD", M, F, op.h_t, ws.mu))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_preconditioner called")
+
+        monkeypatch.setattr(cli, "build_preconditioner", refuse)
+        rows, code = run(replace(config, ht=(op.h_t,)))
+        assert code == 0
+        assert [r["precond"] for r in rows] == ["none", "J", "LD"]
+        if command != "fov":
+            assert rows[2]["kappa"] == pytest.approx(expected, rel=1e-6)
 
 
 class TestGmresCommand:

@@ -1,19 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 from irkprec.assembly import (assemble_mass, assemble_stiffness,
                               coefficient_preset)
 from irkprec.butcher import TableauKind, gauss_legendre, nystrom_from, radau_iia
 from irkprec.driver import (ProblemSpec, StepperState, convergence_study,
-                            initial_state, integrate, irk_step, irkn_step,
-                            l2_error, method_tableau, mms_problem,
+                            forcing_loads, initial_state, integrate, irk_step,
+                            irkn_step, l2_error, method_tableau, mms_problem,
                             timestep_rule)
-from irkprec import stageop
+from irkprec import assembly, driver, stageop
 from irkprec.mesh import build_mesh
-from irkprec.stageop import StageOperator
+from irkprec.stageop import StageOperator, build_stage_rhs
 
 
 class TestTimestepRule:
@@ -31,6 +33,10 @@ class TestTimestepRule:
             assert timestep_rule(1.0, 4, kind) == 1.0
 
 
+def ones(x, y):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
 def constant_profile_problem(mu, poly):
     """Problem whose exact solution is spatially constant: u* = T(t) with
     alpha = beta = 1, so g = T^(mu) + T."""
@@ -42,7 +48,7 @@ def constant_profile_problem(mu, poly):
         exact_dt=lambda x, y, t: dT(t) * np.ones_like(np.asarray(x, dtype=float)),
         exact_dmu=lambda x, y, t: dmuT(t) * np.ones_like(np.asarray(x, dtype=float)),
         apply_K=lambda x, y, t: T(t) * np.ones_like(np.asarray(x, dtype=float)),
-        g=lambda x, y, t: (dmuT(t) + T(t)) * np.ones_like(np.asarray(x, dtype=float)),
+        forcing=((lambda t: dmuT(t) + T(t), ones),),
     )
 
 
@@ -74,7 +80,7 @@ class TestIrkStep:
             exact_dt=lambda x, y, t: -T(t) * np.ones_like(np.asarray(x, dtype=float)),
             exact_dmu=lambda x, y, t: -T(t) * np.ones_like(np.asarray(x, dtype=float)),
             apply_K=lambda x, y, t: T(t) * np.ones_like(np.asarray(x, dtype=float)),
-            g=lambda x, y, t: np.zeros_like(np.asarray(x, dtype=float)),
+            forcing=(),
         )
         h_t = 0.3
         mesh, _, _ = setup_step(problem, 1, h_t)
@@ -130,7 +136,7 @@ class TestIrknStep:
             exact_dt=lambda x, y, t: np.zeros_like(np.asarray(x, dtype=float)),
             exact_dmu=lambda x, y, t: np.zeros_like(np.asarray(x, dtype=float)),
             apply_K=lambda x, y, t: np.zeros_like(np.asarray(x, dtype=float)),
-            g=lambda x, y, t: np.zeros_like(np.asarray(x, dtype=float)),
+            forcing=(),
         )
         mesh = build_mesh(1)
         M = assemble_mass(mesh)
@@ -280,6 +286,22 @@ class TestIntegration:
         assert round(state.t / state.h_t) == 5
         assert len(calls) == 1
 
+    def test_integrate_assembles_each_forcing_mode_once(self, monkeypatch):
+        # one load per forcing mode for the whole march, not one per stage
+        # per step
+        calls = []
+
+        def counting_load(mesh, f):
+            calls.append(mesh.num_nodes)
+            return assembly.assemble_load(mesh, f)
+
+        monkeypatch.setattr(driver, "assemble_load", counting_load)
+        monkeypatch.setattr(stageop, "assemble_load", counting_load)
+        problem = mms_problem("diffusion", "constant-diffusion")
+        state, _ = integrate(problem, radau_iia(2), build_mesh(2), 0.1, 0.5)
+        assert round(state.t / state.h_t) == 5
+        assert len(calls) == len(problem.forcing) == 2
+
     def test_quick_convergence_order(self):
         study = convergence_study("diffusion", "constant-diffusion", 2,
                                   [2, 3, 4], t_end=0.5)
@@ -291,3 +313,60 @@ class TestIntegration:
         M = assemble_mass(mesh)
         u = np.ones(mesh.num_nodes)
         assert l2_error(M, u, u) == 0.0
+
+
+MATCHING_PRESETS = {
+    "diffusion": ("constant-diffusion", "variable-beta-zero"),
+    "wave": ("constant-diffusion", "variable-beta-zero"),
+    "pennes": ("constant-ones", "variable"),
+    "klein-gordon": ("constant-ones", "variable"),
+}
+
+
+class TestForcingModes:
+    def test_g_sums_the_modes(self):
+        problem = mms_problem("pennes", "variable")
+        rng = np.random.default_rng(4)
+        x, y = rng.uniform(-1, 1, (2, 50))
+        expected = sum(a(0.3) * p(x, y) for a, p in problem.forcing)
+        assert np.array_equal(problem.g(x, y, 0.3), expected)
+
+    def test_no_modes_gives_zeros_shaped_like_x(self):
+        problem = replace(constant_profile_problem(1, (lambda t: 0.0,) * 3),
+                          forcing=())
+        x = np.ones((3, 4))
+        assert np.array_equal(problem.g(x, x, 1.0), np.zeros((3, 4)))
+        assert forcing_loads(problem, build_mesh(1)).shape == (0, 25)
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(name=st.sampled_from(sorted(MATCHING_PRESETS)),
+           variable=st.booleans(), s=st.integers(1, 3),
+           t_prev=st.floats(0.0, 5.0), h_t=st.floats(1e-3, 1.0),
+           seed=st.integers(0, 2 ** 16))
+    def test_mode_loads_match_per_stage_assembly(self, name, variable, s,
+                                                 t_prev, h_t, seed):
+        # the stage rhs a step builds from the mode loads equals the one
+        # build_stage_rhs assembles stage by stage from problem.g
+        problem = mms_problem(name, MATCHING_PRESETS[name][variable])
+        mesh = build_mesh(2)
+        tableau = method_tableau(name, s)
+        M = assemble_mass(mesh)
+        F = assemble_stiffness(mesh, problem.coeff)
+        op = StageOperator(tableau, M, F, h_t, problem.mu)
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(mesh.num_nodes)
+        udot = rng.standard_normal(mesh.num_nodes) if problem.mu == 2 else None
+        state = StepperState(t_prev, u, udot, h_t)
+        seen = []
+
+        def capture(op, rhs):
+            seen.append(rhs)
+            return np.zeros(op.size), None
+
+        step = irk_step if problem.mu == 1 else irkn_step
+        step(state, tableau, op, capture, problem, mesh,
+             forcing_loads(problem, mesh))
+        expected = build_stage_rhs(mesh, problem.coeff, tableau, h_t,
+                                   problem.mu, t_prev, u, udot, problem.g, F=F)
+        assert (np.linalg.norm(seen[0] - expected)
+                <= 1e-13 * np.linalg.norm(expected))
