@@ -22,7 +22,7 @@ from .assembly import (assemble_mass, assemble_stiffness, coefficient_preset,
                        write_matrix_market, PRESETS)
 from .butcher import butcher_preconditioner_matrix
 from .errors import ConfigError
-from .mesh import build_hierarchy, build_mesh, write_mesh_text
+from .mesh import MAX_LEVEL, build_hierarchy, build_mesh, write_mesh_text
 from .precond import build_preconditioner
 from .stageop import DENSE_GUARD, StageOperator, build_stage_rhs
 
@@ -83,8 +83,8 @@ def validate(config):
         if not 1 <= s <= 5:
             raise ConfigError(f"stages must lie in [1, 5], got {s}")
     for k in config.mesh_k:
-        if k < 1:
-            raise ConfigError(f"mesh-k must be >= 1, got {k}")
+        if not 1 <= k <= MAX_LEVEL:
+            raise ConfigError(f"mesh-k must lie in [1, {MAX_LEVEL}], got {k}")
     for kind in config.precond:
         if kind not in ALL_KINDS:
             raise ConfigError(f"preconditioner {kind!r} not in {ALL_KINDS}")
@@ -92,6 +92,10 @@ def validate(config):
         raise ConfigError("subsolve must be 'exact' or 'vcycle'")
     if config.tol <= 0:
         raise ConfigError("tol must be positive")
+    if config.max_iter < 1:
+        raise ConfigError("max-iter must be >= 1")
+    if config.t_end <= 0:
+        raise ConfigError("t-end must be positive")
     if config.kappa_method not in ("auto", "dense", "iterative"):
         raise ConfigError("kappa-method must be auto, dense, or iterative")
     if any(h <= 0 for h in config.ht):
@@ -230,8 +234,7 @@ def run_gmres(config):
         for kind in config.precond:
             prec = build_preconditioner(
                 tableau, kind, M, F, h_t, ws.mu, subsolve=config.subsolve,
-                hierarchy=ws.hierarchy(k) if config.subsolve == "vcycle" else None,
-                coeff=ws.coeff)
+                hierarchy=ws.hierarchy(k) if config.subsolve == "vcycle" else None)
             xk, report = krylov.gmres(op, prec, rhs, tol=config.tol,
                                       max_iter=config.max_iter)
             rel_lin = None

@@ -11,6 +11,7 @@ from .assembly import (assemble_load, assemble_mass, assemble_stiffness,
                        coefficient_preset)
 from .butcher import TableauKind, gauss_legendre, nystrom_from, radau_iia
 from .krylov import reference_solve
+from .mesh import build_mesh
 from .stageop import StageOperator, _stage_rhs
 
 PROBLEM_NAMES = ("diffusion", "pennes", "wave", "klein-gordon")
@@ -236,21 +237,21 @@ def l2_error(M, u, u_exact):
 
 def convergence_study(name, coeff, s, k_list, t_end=0.5, solver=direct_solver):
     """Final-time L2 errors under the coupled refinement rule and the
-    least-squares observed order in h."""
-    from .mesh import build_mesh
+    least-squares observed order in h (None with fewer than two distinct
+    mesh sizes)."""
+    problem = mms_problem(name, coeff)
+    tableau = method_tableau(name, s)
     problem_errors = []
     hs = []
     for k in k_list:
         mesh = build_mesh(k)
-        problem = mms_problem(name, coeff)
-        tableau = method_tableau(name, s)
         h_t = timestep_rule(mesh.h, s, tableau.kind)
         state, M = integrate(problem, tableau, mesh, h_t, t_end, solver=solver)
         x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
         err = l2_error(M, state.u, problem.exact(x, y, state.t))
         problem_errors.append(err)
         hs.append(mesh.h)
-    logh = np.log(hs)
-    loge = np.log(problem_errors)
-    order = float(np.polyfit(logh, loge, 1)[0])
+    order = None
+    if len(set(hs)) >= 2:
+        order = float(np.polyfit(np.log(hs), np.log(problem_errors), 1)[0])
     return {"k": list(k_list), "h": hs, "errors": problem_errors, "order": order}

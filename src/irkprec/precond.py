@@ -1,12 +1,13 @@
 """Block preconditioners I (x) M + h_t^mu P (x) F applied by stage-wise
 forward or backward substitution (StageOperator's solve) with exact or
-multigrid diagonal subsolves.
+multigrid diagonal subsolves. The multigrid levels are the Galerkin
+coarsenings R^T X R of M and F, so only M, F and the prolongations R of a
+mesh hierarchy are needed.
 """
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_mass, assemble_stiffness
 from .butcher import PreconditionerKind, butcher_preconditioner_matrix, is_lower_kind
 from .errors import SubsolveError
 from .stageop import StageOperator
@@ -16,38 +17,13 @@ PRE_SWEEPS = 2
 POST_SWEEPS = 2
 
 
-class GridLevel:
-    """One level of a multigrid hierarchy for a fixed subsystem matrix."""
-
-    def __init__(self, S, prolongation=None):
-        self.S = S.tocsr()
-        self.diag = self.S.diagonal()
-        if np.any(self.diag == 0.0):
-            raise SubsolveError("zero diagonal entry in multigrid level matrix")
-        self.prolongation = prolongation  # from the next coarser level
-        self.coarse_lu = None             # set on the coarsest level
-
-
-def _jacobi(level, x, b, sweeps):
-    for _ in range(sweeps):
-        x = x + SMOOTHER_DAMPING * (b - level.S @ x) / level.diag
-    return x
-
-
-def vcycle(levels, r, level):
-    """One V(2,2) cycle for the system levels[level].S x = r.
-
-    Damped Jacobi (omega = 2/3) smoothing, residual restriction by the
-    transpose of the interpolation, exact solve on the coarsest level.
-    """
-    lev = levels[level]
-    if level == 0:
-        return lev.coarse_lu.solve(r)
-    x = _jacobi(lev, np.zeros_like(r), r, PRE_SWEEPS)
-    resid = r - lev.S @ x
-    coarse = vcycle(levels, lev.prolongation.T @ resid, level - 1)
-    x = x + lev.prolongation @ coarse
-    return _jacobi(lev, x, r, POST_SWEEPS)
+def galerkin_levels(M, F, prolongations):
+    """[(M_l, F_l)] from coarsest to finest: M, F on the finest level and
+    R^T X R of the next finer level below it, R = prolongations[l]."""
+    levels = [(M.tocsr(), F.tocsr())]
+    for R in reversed(prolongations):
+        levels.append(tuple((R.T @ X @ R).tocsr() for X in levels[-1]))
+    return levels[::-1]
 
 
 class ExactSubsolver:
@@ -61,13 +37,37 @@ class ExactSubsolver:
 
 
 class VCycleSubsolver:
-    """Single geometric V-cycle on re-assembled coarse operators."""
+    """One geometric V(2,2) cycle for M + c F on the Galerkin levels
+    (M_l, F_l) of galerkin_levels, coarse to fine.
 
-    def __init__(self, levels):
-        self.levels = levels
+    Damped Jacobi (omega = 2/3) smoothing, residual restriction by the
+    transpose of the interpolation, exact LU solve on the coarsest level.
+    """
+
+    def __init__(self, levels, prolongations, c):
+        self.S = [Ml + c * Fl for Ml, Fl in levels]
+        self.diag = [S.diagonal() for S in self.S]
+        if any(np.any(d == 0.0) for d in self.diag):
+            raise SubsolveError("zero diagonal entry in multigrid level matrix")
+        self.prolongations = prolongations  # [l]: level l -> level l + 1
+        self.coarse_lu = spla.splu(self.S[0].tocsc())
 
     def solve(self, r):
-        return vcycle(self.levels, r, len(self.levels) - 1)
+        return self._cycle(r, len(self.S) - 1)
+
+    def _cycle(self, r, level):
+        if level == 0:
+            return self.coarse_lu.solve(r)
+        R = self.prolongations[level - 1]
+        x = self._jacobi(level, np.zeros_like(r), r, PRE_SWEEPS)
+        x = x + R @ self._cycle(R.T @ (r - self.S[level] @ x), level - 1)
+        return self._jacobi(level, x, r, POST_SWEEPS)
+
+    def _jacobi(self, level, x, b, sweeps):
+        S, d = self.S[level], self.diag[level]
+        for _ in range(sweeps):
+            x = x + SMOOTHER_DAMPING * (b - S @ x) / d
+        return x
 
 
 class BlockPreconditioner(StageOperator):
@@ -96,10 +96,10 @@ def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
     """Build one of the five block preconditioners for the stage system.
 
     subsolve="exact" factorizes each diagonal block M + h_t^mu p_ii F;
-    subsolve="vcycle" builds a geometric multigrid hierarchy per distinct
-    diagonal entry, with the coarse-level matrices re-assembled on each
-    coarser mesh of `hierarchy` (required, together with coeff, in that
-    mode) and M, F themselves on the finest level.
+    subsolve="vcycle" gives each distinct diagonal entry one V-cycle
+    subsolver on the Galerkin levels of M and F, computed once per call
+    from the prolongations of `hierarchy` (required in that mode). `coeff`
+    is unused; it is accepted so that callers passing it keep working.
     """
     kind = PreconditionerKind(kind)
     P = butcher_preconditioner_matrix(tableau, kind)
@@ -112,20 +112,14 @@ def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
         def make(p):
             return ExactSubsolver(M + scale * p * F)
     elif subsolve == "vcycle":
-        if hierarchy is None or coeff is None:
-            raise ValueError("vcycle subsolves need hierarchy and coeff")
+        if hierarchy is None:
+            raise ValueError("vcycle subsolves need a hierarchy")
         if hierarchy.finest.num_nodes != M.shape[0]:
             raise ValueError("hierarchy finest mesh does not match M")
-        level_mf = [(assemble_mass(m), assemble_stiffness(m, coeff))
-                    for m in hierarchy.levels[:-1]] + [(M, F)]
+        levels = galerkin_levels(M, F, hierarchy.prolongations)
 
         def make(p):
-            levels = []
-            for li, (Ml, Fl) in enumerate(level_mf):
-                prol = hierarchy.prolongations[li - 1] if li > 0 else None
-                levels.append(GridLevel(Ml + scale * p * Fl, prol))
-            levels[0].coarse_lu = spla.splu(levels[0].S.tocsc())
-            return VCycleSubsolver(levels)
+            return VCycleSubsolver(levels, hierarchy.prolongations, scale * p)
     else:
         raise ValueError(f"unknown subsolve mode {subsolve!r}")
 

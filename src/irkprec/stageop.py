@@ -9,7 +9,6 @@ LUs: directly for a triangular C, else in the real Schur basis of C.
 """
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import schur
 from scipy.sparse.linalg import splu
 
@@ -42,8 +41,8 @@ class StageOperator:
         if M.shape != F.shape or M.shape[0] != M.shape[1]:
             raise ValueError("M and F must be square with equal shapes")
         self.coupling = coupling
-        self.M = M.tocsr() if not sp.isspmatrix_csr(M) else M
-        self.F = F.tocsr() if not sp.isspmatrix_csr(F) else F
+        self.M = M.tocsr()
+        self.F = F.tocsr()
         self.h_t = float(h_t)
         self.mu = int(mu)
         self.s = coupling.shape[0]

@@ -11,7 +11,7 @@ from irkprec.cli import (ExperimentConfig, build_config, config_from_argv,
                          emit, emit_csv, main, parse_config_file, run,
                          run_cloud, run_export, run_gmres, run_kappa, validate)
 from irkprec.errors import ConfigError
-from irkprec.mesh import build_mesh
+from irkprec.mesh import MAX_LEVEL, build_mesh
 from irkprec.precond import build_preconditioner
 from irkprec.stageop import StageOperator
 
@@ -65,6 +65,19 @@ class TestConfig:
     def test_validate_rejects_bad_stage(self):
         with pytest.raises(ConfigError):
             validate(tiny_config(stages=(7,)))
+
+    @pytest.mark.parametrize("t_end", [0.0, -0.5])
+    def test_validate_rejects_nonpositive_t_end(self, t_end):
+        with pytest.raises(ConfigError):
+            validate(tiny_config(command="mms", t_end=t_end))
+
+    def test_validate_rejects_max_iter_below_one(self):
+        with pytest.raises(ConfigError):
+            validate(tiny_config(command="gmres", max_iter=0))
+
+    def test_validate_rejects_mesh_k_above_max_level(self):
+        with pytest.raises(ConfigError):
+            validate(tiny_config(command="gmres", mesh_k=(1, MAX_LEVEL + 1)))
 
     def test_validate_dense_guard_up_front(self):
         with pytest.raises(ConfigError):
@@ -173,6 +186,19 @@ class TestGmresCommand:
         err = driver.l2_error(M, state.u, spec.exact(x, y, state.t))
         assert rows[0]["rel_error_pde"] == pytest.approx(err, rel=1e-6)
 
+    def test_vcycle_iterations_flat_in_k(self):
+        # variable coefficients, where Galerkin and re-assembled coarse
+        # operators differ: LD with V-cycle subsolves stays h-independent
+        config = tiny_config(command="gmres", problem="klein-gordon",
+                             coeff="variable", stages=(3,), mesh_k=(4, 5),
+                             precond=("J", "LD"), subsolve="vcycle")
+        rows, _ = run_gmres(config)
+        assert all(row["converged"] for row in rows)
+        ld = [row["iterations"] for row in rows if row["precond"] == "LD"]
+        assert len(ld) == 2
+        assert max(ld) <= 25
+        assert ld[1] - ld[0] <= 2
+
     def test_nonconvergence_flagged_not_dropped(self):
         config = tiny_config(command="gmres", problem="pennes",
                              coeff="variable", stages=(3,), mesh_k=(2,),
@@ -268,6 +294,17 @@ class TestEmitters:
         assert "kappa(P_LD^-1 A)" in lines[0]
         assert len(lines) == 2 + 2  # header, rule, one row per (s, h)
 
+    def test_single_level_mms_has_no_order(self):
+        config = tiny_config(command="mms", problem="diffusion",
+                             coeff="constant-diffusion", stages=(2,),
+                             mesh_k=(2,), t_end=0.25)
+        rows, code = run(config)
+        assert code == 0
+        assert rows[0]["observed_order"] is None
+        header, line = emit_csv(rows).splitlines()
+        cells = dict(zip(header.split(","), line.split(",")))
+        assert cells["observed_order"] == ""
+
     def test_mms_command_rows(self):
         config = tiny_config(command="mms", problem="diffusion",
                              coeff="constant-diffusion", stages=(2,),
@@ -292,4 +329,13 @@ class TestMain:
 
     def test_bad_config_exit_code(self, capsys):
         assert main(["kappa", "--problem", "wave", "--coeff", "constant-ones"]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["mms", "--t-end", "0"],
+        ["gmres", "--max-iter", "0"],
+        ["kappa", "--mesh-k", str(MAX_LEVEL + 1)],
+    ])
+    def test_out_of_range_values_are_config_errors(self, capsys, argv):
+        assert main(argv) == 1
         assert "config error" in capsys.readouterr().err

@@ -308,6 +308,12 @@ class TestIntegration:
         assert 1.7 <= study["order"] <= 2.35
         assert study["errors"][0] > study["errors"][-1]
 
+    def test_one_level_study_has_no_order(self):
+        study = convergence_study("diffusion", "constant-diffusion", 2, [2],
+                                  t_end=0.25)
+        assert study["order"] is None
+        assert len(study["errors"]) == 1
+
     def test_l2_error_zero_for_exact(self):
         mesh = build_mesh(1)
         M = assemble_mass(mesh)

@@ -140,7 +140,7 @@ class TestGmres:
         h_t = mesh.h ** (2.0 / 3.0)
         op = StageOperator(t, M, F, h_t, 1)
         prec = build_preconditioner(t, "LD", M, F, h_t, 1, subsolve="vcycle",
-                                    hierarchy=build_hierarchy(k), coeff=coeff)
+                                    hierarchy=build_hierarchy(k))
         b = np.random.default_rng(23).standard_normal(op.size)
         x, report = gmres(op, prec, b, tol=1e-8)
         assert report.converged

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from irkprec.assembly import assemble_mass, assemble_stiffness, coefficient_preset
+from irkprec.assembly import (assemble_mass, assemble_stiffness, coefficient_preset,
+                              read_matrix_market, write_matrix_market)
 from irkprec.butcher import gauss_legendre, nystrom_from, radau_iia
 from irkprec.errors import SubsolveError
 from irkprec.krylov import gmres
 from irkprec.mesh import build_hierarchy, build_mesh
-from irkprec.precond import GridLevel, build_preconditioner, vcycle
+from irkprec.precond import VCycleSubsolver, build_preconditioner, galerkin_levels
 from irkprec.stageop import StageOperator
 
 ALL_KINDS = ("J", "GSL", "TRIU", "LD", "DU")
@@ -102,34 +103,32 @@ class TestApplyInverse:
 
 
 class TestVCycle:
-    def make_levels(self, k_fine, tau):
+    def make_vcycle(self, k_fine, tau, preset="constant-ones"):
         hierarchy = build_hierarchy(k_fine)
-        coeff = coefficient_preset("constant-ones")
-        levels = []
-        for li, mesh in enumerate(hierarchy.levels):
-            S = assemble_mass(mesh) + tau * assemble_stiffness(mesh, coeff)
-            prol = hierarchy.prolongations[li - 1] if li > 0 else None
-            levels.append(GridLevel(S, prol))
-        levels[0].coarse_lu = spla.splu(levels[0].S.tocsc())
-        return levels
+        mesh = hierarchy.finest
+        coeff = coefficient_preset(preset)
+        levels = galerkin_levels(assemble_mass(mesh), assemble_stiffness(mesh, coeff),
+                                 hierarchy.prolongations)
+        return VCycleSubsolver(levels, hierarchy.prolongations, tau)
 
     def test_zero_input(self):
-        levels = self.make_levels(3, 0.1)
-        r = np.zeros(levels[-1].S.shape[0])
-        assert np.array_equal(vcycle(levels, r, len(levels) - 1), r)
+        sub = self.make_vcycle(3, 0.1)
+        r = np.zeros(sub.S[-1].shape[0])
+        assert np.array_equal(sub.solve(r), r)
 
     def test_coarsest_level_exact(self):
-        levels = self.make_levels(2, 0.1)
+        # a one-level hierarchy is just the coarse LU solve
+        sub = self.make_vcycle(1, 0.1)
         rng = np.random.default_rng(4)
-        r = rng.standard_normal(levels[0].S.shape[0])
-        z = vcycle(levels, r, 0)
-        assert np.linalg.norm(levels[0].S @ z - r) <= 1e-12 * np.linalg.norm(r)
+        r = rng.standard_normal(sub.S[0].shape[0])
+        z = sub.solve(r)
+        assert np.linalg.norm(sub.S[0] @ z - r) <= 1e-12 * np.linalg.norm(r)
 
     @pytest.mark.parametrize("tau", [2.0 ** -5, 0.1, 1.0, 10.0])
     def test_contraction_factor(self, tau):
         # one cycle cuts the energy-norm error by at least 0.7 every time
-        levels = self.make_levels(5, tau)
-        S = levels[-1].S
+        sub = self.make_vcycle(5, tau)
+        S = sub.S[-1]
         n = S.shape[0]
         rng = np.random.default_rng(8)
         x_star = rng.standard_normal(n)
@@ -141,9 +140,31 @@ class TestVCycle:
 
         for _ in range(10):
             before = energy(x_star - x)
-            x = x + vcycle(levels, b - S @ x, len(levels) - 1)
+            x = x + sub.solve(b - S @ x)
             after = energy(x_star - x)
             assert after <= 0.7 * before
+
+    @pytest.mark.parametrize("preset", ["constant-ones", "constant-diffusion"])
+    def test_galerkin_levels_match_assembly(self, preset):
+        # on nested P1 meshes R^T (M + c F) R is the coarse mesh's M + c F
+        # for constant coefficients
+        k, tau = 4, 0.3
+        sub = self.make_vcycle(k, tau, preset)
+        coeff = coefficient_preset(preset)
+        hierarchy = build_hierarchy(k)
+        assert len(sub.S) == k
+        for S, mesh in zip(sub.S, hierarchy.levels):
+            ref = assemble_mass(mesh) + tau * assemble_stiffness(mesh, coeff)
+            assert spla.norm(S - ref) <= 1e-13 * spla.norm(ref)
+
+    def test_recursion_bypasses_public_solve(self):
+        # one subsolve is one call of solve, however many levels it visits
+        sub = self.make_vcycle(4, 0.1)
+        calls = []
+        solve = sub.solve
+        sub.solve = lambda r: calls.append(1) or solve(r)
+        sub.solve(np.ones(sub.S[-1].shape[0]))
+        assert len(calls) == 1
 
 
 class TestVCycleSubsolves:
@@ -160,7 +181,7 @@ class TestVCycleSubsolves:
         h_t = 0.3
         exact = build_preconditioner(t, kind, M, F, h_t, 1, subsolve="exact")
         mg = build_preconditioner(t, kind, M, F, h_t, 1, subsolve="vcycle",
-                                  hierarchy=hierarchy, coeff=coeff)
+                                  hierarchy=hierarchy)
         rng = np.random.default_rng(9)
         r = rng.standard_normal(exact.size)
         z_exact = exact.apply_inverse(r)
@@ -185,4 +206,21 @@ class TestVCycleSubsolves:
         with pytest.raises(ValueError):
             build_preconditioner(radau_iia(2), "LD", M, F, 0.5, 1,
                                  subsolve="vcycle",
-                                 hierarchy=build_hierarchy(2), coeff=coeff)
+                                 hierarchy=build_hierarchy(2))
+
+    def test_needs_only_matrices_and_hierarchy(self, tmp_path):
+        # M and F read back from Matrix Market files carry no mesh or
+        # coefficient field, and the V-cycle needs neither
+        k = 3
+        mesh = build_mesh(k)
+        coeff = coefficient_preset("variable")
+        for name, A in (("M", assemble_mass(mesh)), ("F", assemble_stiffness(mesh, coeff))):
+            write_matrix_market(A, tmp_path / f"{name}.mtx")
+        M, F = (read_matrix_market(tmp_path / f"{name}.mtx") for name in "MF")
+        t = radau_iia(2)
+        prec = build_preconditioner(t, "LD", M, F, 0.3, 1, subsolve="vcycle",
+                                    hierarchy=build_hierarchy(k))
+        exact = build_preconditioner(t, "LD", M, F, 0.3, 1, subsolve="exact")
+        r = np.random.default_rng(10).standard_normal(prec.size)
+        z_exact = exact.apply_inverse(r)
+        assert np.linalg.norm(prec.apply_inverse(r) - z_exact) < 0.5 * np.linalg.norm(z_exact)
