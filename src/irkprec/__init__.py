@@ -17,7 +17,7 @@ from .driver import (ProblemSpec, StepperState, advance, convergence_study,
                      method_tableau, mms_problem, timestep_rule)
 from .errors import (CoefficientError, ConfigError, FactorizationError,
                      ResourceLimitError, SubsolveError)
-from .krylov import SolveReport, gmres, reference_solve, residual_history_csv
+from .krylov import SolveReport, gmres, reference_solve
 from .mesh import (MeshHierarchy, TriMesh, build_hierarchy, build_mesh,
                    read_mesh_text, write_mesh_text)
 from .precond import (BlockPreconditioner, ExactSubsolver, VCycleSubsolver,

@@ -2,9 +2,12 @@
 field-of-values, and GMRES tables at desk scale.
 
 Commands: kappa, spectrum, fov, gmres, mms, export. Grids are driven by
-a key=value config file and/or flags; rows are emitted as CSV, JSON, or
-markdown in deterministic grid order. Exit codes: 0 success, 2 if any
-GMRES run failed to converge, 1 on configuration errors.
+a key = value config file and/or flags; rows are emitted as CSV, JSON, or
+markdown in deterministic grid order. Every flag (--mesh-k) and file key
+(mesh-k or mesh_k) is an ExperimentConfig field name, parsed to that
+field's type and checked by validate. Exit codes: 0 success; 1 on any
+configuration error ("config error: ..."), from a flag, a file or an
+unreadable file alike; 2 if any GMRES run failed to converge.
 """
 
 import argparse
@@ -13,7 +16,9 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -22,7 +27,8 @@ from .assembly import (assemble_mass, assemble_stiffness, coefficient_preset,
                        write_matrix_market, PRESETS)
 from .butcher import butcher_preconditioner_matrix
 from .errors import ConfigError
-from .mesh import MAX_LEVEL, build_hierarchy, build_mesh, write_mesh_text
+from .mesh import (MAX_LEVEL, build_hierarchy, build_mesh, nodes_at_level,
+                   write_mesh_text)
 from .precond import build_preconditioner
 from .stageop import DENSE_GUARD, StageOperator, build_stage_rhs
 
@@ -34,23 +40,30 @@ ALL_KINDS = ("J", "GSL", "TRIU", "LD", "DU")
 KAPPA_DENSE_CUTOFF = 4500
 
 
+def _one_of(choices, default):
+    return field(default=default, metadata={"choices": choices})
+
+
 @dataclass
 class ExperimentConfig:
-    command: str = "kappa"
-    problem: str = "wave"
-    coeff: str = "constant-diffusion"
-    stages: tuple = (2,)
-    mesh_k: tuple = (4,)
-    ht: tuple = ()              # explicit timesteps; empty means use the rule
-    precond: tuple = ("J", "GSL", "TRIU", "LD", "DU")
-    subsolve: str = "vcycle"
+    """One declaration per setting: the annotation is the type a flag or
+    file value parses to, `choices` metadata the values validate allows."""
+
+    command: str = _one_of(COMMANDS, "kappa")
+    problem: str = _one_of(driver.PROBLEM_NAMES, "wave")
+    coeff: str = _one_of(PRESETS, "constant-diffusion")
+    stages: tuple[int, ...] = (2,)
+    mesh_k: tuple[int, ...] = (4,)
+    ht: tuple[float, ...] = ()  # explicit timesteps; empty means use the rule
+    precond: tuple[str, ...] = _one_of(ALL_KINDS, ALL_KINDS)
+    subsolve: str = _one_of(("exact", "vcycle"), "vcycle")
     tol: float = 1e-8
-    out: str = ""
-    format: str = "csv"
+    out: str = ""               # output file (tables) or directory (clouds, export)
+    format: str = _one_of(FORMATS, "csv")
     seed: int = 0
     n_angles: int = 128
     t_end: float = 0.5
-    kappa_method: str = "auto"  # auto | dense | iterative
+    kappa_method: str = _one_of(("auto", "dense", "iterative"), "auto")
     max_iter: int = 500
 
     def timesteps(self, h, s, kind):
@@ -59,22 +72,18 @@ class ExperimentConfig:
         return [driver.timestep_rule(h, s, kind)]
 
 
-def _n_nodes(k):
-    return (2 ** (k + 1) + 1) ** 2
-
-
 def validate(config):
     """Check the configuration up front; returns the list of grid cells
     that exceed the dense guard (skipped with a warning by the point-cloud
     commands)."""
-    if config.command not in COMMANDS:
-        raise ConfigError(f"command must be one of {COMMANDS}, got {config.command!r}")
-    if config.format not in FORMATS:
-        raise ConfigError(f"format must be one of {FORMATS}, got {config.format!r}")
-    if config.problem not in driver.PROBLEM_NAMES:
-        raise ConfigError(f"problem must be one of {driver.PROBLEM_NAMES}")
-    if config.coeff not in PRESETS:
-        raise ConfigError(f"coeff must be one of {PRESETS}")
+    for f in fields(config):
+        choices = f.metadata.get("choices")
+        if choices is None:
+            continue
+        value = getattr(config, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if v not in choices:
+                raise ConfigError(f"{f.name} must be one of {choices}, got {v!r}")
     try:
         driver.mms_problem(config.problem, config.coeff)
     except ValueError as exc:
@@ -85,71 +94,62 @@ def validate(config):
     for k in config.mesh_k:
         if not 1 <= k <= MAX_LEVEL:
             raise ConfigError(f"mesh-k must lie in [1, {MAX_LEVEL}], got {k}")
-    for kind in config.precond:
-        if kind not in ALL_KINDS:
-            raise ConfigError(f"preconditioner {kind!r} not in {ALL_KINDS}")
-    if config.subsolve not in ("exact", "vcycle"):
-        raise ConfigError("subsolve must be 'exact' or 'vcycle'")
-    if config.tol <= 0:
-        raise ConfigError("tol must be positive")
+    # "not 0 < x < inf" also refuses nan
+    if not 0 < config.tol < np.inf:
+        raise ConfigError("tol must be positive and finite")
     if config.max_iter < 1:
         raise ConfigError("max-iter must be >= 1")
-    if config.t_end <= 0:
-        raise ConfigError("t-end must be positive")
-    if config.kappa_method not in ("auto", "dense", "iterative"):
-        raise ConfigError("kappa-method must be auto, dense, or iterative")
-    if any(h <= 0 for h in config.ht):
-        raise ConfigError("explicit timesteps must be positive")
+    if not 0 < config.t_end < np.inf:
+        raise ConfigError("t-end must be positive and finite")
+    if not all(0 < h < np.inf for h in config.ht):
+        raise ConfigError("explicit timesteps must be positive and finite")
     if config.n_angles < 8:
         raise ConfigError("n-angles must be >= 8")
+    if config.seed < 0:
+        raise ConfigError("seed must be >= 0")
 
     violations = []
     for s in config.stages:
         for k in config.mesh_k:
-            if s * _n_nodes(k) <= DENSE_GUARD:
+            if s * nodes_at_level(k) <= DENSE_GUARD:
                 continue
             if config.command in ("spectrum", "fov"):
                 violations.append((s, k))
             elif config.command == "kappa" and config.kappa_method == "dense":
                 raise ConfigError(
-                    f"dense kappa requested but s*N = {s * _n_nodes(k)} at "
+                    f"dense kappa requested but s*N = {s * nodes_at_level(k)} at "
                     f"(s={s}, k={k}) exceeds the guard {DENSE_GUARD}")
     return violations
 
 
 class _Workspace:
-    """Caches meshes, matrices, and tableaus across grid cells."""
+    """Caches meshes, matrices, tableaus and hierarchies across grid cells."""
 
     def __init__(self, config):
         self.config = config
         self.coeff = coefficient_preset(config.coeff)
         self.problem = driver.mms_problem(config.problem, config.coeff)
         self.mu = self.problem.mu
-        self._meshes = {}
-        self._matrices = {}
-        self._tableaus = {}
-        self._hierarchies = {}
+        self._cache = {}
+
+    def _get(self, key, fn, *args):
+        if key not in self._cache:
+            self._cache[key] = fn(*args)
+        return self._cache[key]
 
     def mesh(self, k):
-        if k not in self._meshes:
-            self._meshes[k] = build_mesh(k)
-        return self._meshes[k]
+        return self._get(("mesh", k), build_mesh, k)
 
     def matrices(self, k):
-        if k not in self._matrices:
-            m = self.mesh(k)
-            self._matrices[k] = (assemble_mass(m), assemble_stiffness(m, self.coeff))
-        return self._matrices[k]
+        m = self.mesh(k)
+        return self._get(("matrices", k), lambda: (assemble_mass(m),
+                                                   assemble_stiffness(m, self.coeff)))
 
     def tableau(self, s):
-        if s not in self._tableaus:
-            self._tableaus[s] = driver.method_tableau(self.config.problem, s)
-        return self._tableaus[s]
+        return self._get(("tableau", s), driver.method_tableau, self.config.problem, s)
 
     def hierarchy(self, k):
-        if k not in self._hierarchies:
-            self._hierarchies[k] = build_hierarchy(k)
-        return self._hierarchies[k]
+        return self._get(("hierarchy", k), build_hierarchy, k)
 
     def operator(self, s, k, h_t):
         M, F = self.matrices(k)
@@ -211,7 +211,8 @@ def run_kappa(config):
 def run_gmres(config):
     """Left-preconditioned GMRES on the first-timestep stage system.
 
-    Returns (rows, any_nonconverged). rel_error_linear is measured against
+    One row per run; `converged` False marks a run that failed.
+    rel_error_linear is measured against
     a sparse direct solve of the same system (omitted above the direct
     guard); rel_error_pde is the L2 error of the stepped solution against
     the manufactured solution at t = h_t.
@@ -253,13 +254,14 @@ def run_gmres(config):
                 "rel_error_linear": rel_lin,
                 "rel_error_pde": driver.l2_error(M, u1, exact),
             })
-    return rows, any(not r["converged"] for r in rows)
+    return rows
 
 
-def _cloud_path(config, stem):
+def _out_path(config, name):
+    """`name` inside the artifact directory --out (default: here)."""
     base = config.out or "."
     os.makedirs(base, exist_ok=True)
-    return os.path.join(base, stem)
+    return os.path.join(base, name)
 
 
 def run_cloud(config, violations=()):
@@ -277,7 +279,7 @@ def run_cloud(config, violations=()):
         if (s, k) in violations:
             rows.append({**cell, "precond": "skipped", **dict.fromkeys(stats),
                          "file": "",
-                         "warning": f"s*N = {s * _n_nodes(k)} exceeds dense guard"})
+                         "warning": f"s*N = {s * nodes_at_level(k)} exceeds dense guard"})
             continue
         op = ws.operator(s, k, h_t)
         for kind in ["none"] + list(config.precond):
@@ -294,11 +296,9 @@ def run_cloud(config, violations=()):
                 points = result.boundary_points
                 values = (result.min_distance_to_origin,)
             stem = f"{config.command}_{label}.csv"
-            with open(_cloud_path(config, stem), "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["re", "im"])
-                for z in points:
-                    w.writerow([repr(float(z.real)), repr(float(z.imag))])
+            with open(_out_path(config, stem), "w") as fh:
+                fh.write(emit_csv([{"re": float(z.real), "im": float(z.imag)}
+                                   for z in points]))
             rows.append({**cell, "precond": kind, **dict(zip(stats, values)),
                          "file": stem, "warning": ""})
     return rows
@@ -322,23 +322,21 @@ def run_export(config):
     matrices for the configured grid; returns a manifest."""
     ws = _Workspace(config)
     rows = []
-    base = config.out or "."
-    os.makedirs(base, exist_ok=True)
     for s in config.stages:
         t = ws.tableau(s)
         name = f"tableau_{t.kind.value}_{s}.json"
-        with open(os.path.join(base, name), "w") as fh:
+        with open(_out_path(config, name), "w") as fh:
             fh.write(t.to_json())
         rows.append({"artifact": "tableau", "s": s, "k": None, "file": name})
     for k in config.mesh_k:
         mesh = ws.mesh(k)
         name = f"mesh_k{k}.txt"
-        write_mesh_text(mesh, os.path.join(base, name))
+        write_mesh_text(mesh, _out_path(config, name))
         rows.append({"artifact": "mesh", "s": None, "k": k, "file": name})
         M, F = ws.matrices(k)
         mname, fname = f"mass_k{k}.mtx", f"stiffness_{config.coeff}_k{k}.mtx"
-        write_matrix_market(M, os.path.join(base, mname))
-        write_matrix_market(F, os.path.join(base, fname))
+        write_matrix_market(M, _out_path(config, mname))
+        write_matrix_market(F, _out_path(config, fname))
         rows.append({"artifact": "mass", "s": None, "k": k, "file": mname})
         rows.append({"artifact": "stiffness", "s": None, "k": k, "file": fname})
     return rows
@@ -347,8 +345,6 @@ def run_export(config):
 def _fmt_value(v):
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return str(v)
     if isinstance(v, float):
         return repr(float(v))
     return str(v)
@@ -376,10 +372,12 @@ def emit_markdown(rows, command):
     if command == "kappa":
         return _markdown_kappa(rows)
     keys = list(rows[0].keys())
-    lines = ["| " + " | ".join(keys) + " |",
-             "|" + "|".join("---" for _ in keys) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(_fmt_value(row.get(k)) for k in keys) + " |")
+    return _md_table(keys, [[_fmt_value(row.get(k)) for k in keys] for row in rows])
+
+
+def _md_table(header, body):
+    lines = ["| " + " | ".join(cells) + " |" for cells in [header] + body]
+    lines.insert(1, "|" + "---|" * len(header))
     return "\n".join(lines) + "\n"
 
 
@@ -389,16 +387,15 @@ def _markdown_kappa(rows):
     kinds = list(dict.fromkeys(row["precond"] for row in rows))
     header = ["method", "h", "h_t"] + [
         "kappa(A)" if k == "none" else f"kappa(P_{k}^-1 A)" for k in kinds]
-    lines = ["| " + " | ".join(header) + " |",
-             "|" + "|".join("---" for _ in header) + "|"]
     cells = {}  # insertion-ordered: first appearance of each row key
     for row in rows:
         key = (row["method"], row["h"], row["h_t"])
         cells.setdefault(key, {})[row["precond"]] = row["kappa"]
+    body = []
     for (method, h, h_t), kappas in cells.items():
         vals = [f"{kappas.get(k, float('nan')):.2f}" for k in kinds]
-        lines.append(f"| {method} | {h:.6g} | {h_t:.6g} | " + " | ".join(vals) + " |")
-    return "\n".join(lines) + "\n"
+        body.append([method, f"{h:.6g}", f"{h_t:.6g}"] + vals)
+    return _md_table(header, body)
 
 
 def emit(rows, config):
@@ -412,71 +409,69 @@ def emit(rows, config):
 def parse_config_file(path):
     """Plain key = value lines; '#' starts a comment; list values are
     comma separated."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     values = {}
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected key = value, got {line!r}")
-            key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
+    for ln, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{ln}: expected key = value, got {line!r}")
+        key, val = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
-_LISTS = {"stages": int, "mesh_k": int, "ht": float, "precond": str.strip}
-_SCALARS = {"seed": int, "n_angles": int, "max_iter": int, "tol": float, "t_end": float}
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
-def _coerce(key, raw):
+def _coerce(key, text):
+    """Parse one flag or file value to the type its field declares."""
+    kind = _FIELDS[key].type
     try:
-        if key in _LISTS:
-            return tuple(_LISTS[key](v) for v in str(raw).split(",") if v.strip() != "")
-        if key in _SCALARS:
-            return _SCALARS[key](raw)
+        if get_origin(kind) is tuple:
+            item = get_args(kind)[0]
+            return tuple(item(v.strip()) for v in text.split(",") if v.strip())
+        return kind(text)
     except ValueError as exc:
-        raise ConfigError(f"field {key}: cannot parse {raw!r}") from exc
-    return raw
+        raise ConfigError(f"field {key}: cannot parse {text!r}") from exc
 
 
 def build_config(file_values=None, overrides=None):
-    config = ExperimentConfig()
+    values = {}
     for source in (file_values or {}, overrides or {}):
-        for key, raw in source.items():
-            if raw is None:
+        for key, text in source.items():
+            if text is None:
                 continue
-            if not hasattr(config, key):
+            if key not in _FIELDS:
                 raise ConfigError(f"unknown config field {key!r}")
-            config = replace(config, **{key: _coerce(key, raw)})
-    return config
+            values[key] = _coerce(key, text)
+    return ExperimentConfig(**values)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def make_parser():
-    p = argparse.ArgumentParser(
-        prog="irkprec",
-        description="Stage-equation preconditioner experiments")
-    p.add_argument("command", nargs="?", choices=COMMANDS)
+    p = _Parser(prog="irkprec",
+                description="Stage-equation preconditioner experiments")
+    p.add_argument("positional_command", nargs="?", metavar="command",
+                   help=f"one of {','.join(COMMANDS)}")
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--command", dest="command_flag", choices=COMMANDS)
-    p.add_argument("--problem", choices=driver.PROBLEM_NAMES)
-    p.add_argument("--coeff", choices=PRESETS)
-    p.add_argument("--stages", help="comma list, e.g. 2,3,4,5")
-    p.add_argument("--mesh-k", dest="mesh_k", help="comma list of mesh exponents")
-    p.add_argument("--ht", help="comma list of explicit timesteps")
     p.add_argument("--ht-rule", action="store_true",
                    help="use the coupled timestep rule (the default)")
-    p.add_argument("--precond", help="comma list from J,GSL,TRIU,LD,DU")
-    p.add_argument("--subsolve", choices=("exact", "vcycle"))
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--out", help="output file (tables) or directory (clouds/export)")
-    p.add_argument("--format", choices=FORMATS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-angles", dest="n_angles", type=int)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--kappa-method", dest="kappa_method",
-                   choices=("auto", "dense", "iterative"))
+    for f in fields(ExperimentConfig):
+        choices = f.metadata.get("choices")
+        item = get_args(f.type)[0] if get_origin(f.type) is tuple else None
+        p.add_argument("--" + f.name.replace("_", "-"),
+                       metavar="{" + ",".join(choices) + "}" if choices else None,
+                       help=f"comma list of {item.__name__}" if item else None)
     return p
 
 
@@ -485,47 +480,33 @@ def config_from_argv(argv):
     if args.ht and args.ht_rule:
         raise ConfigError("--ht and --ht-rule are mutually exclusive")
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {key: val for key, val in vars(args).items()
-                 if val is not None and hasattr(ExperimentConfig, key)}
-    command = args.command_flag or args.command or file_values.get("command")
+    overrides = {name: getattr(args, name) for name in _FIELDS}
+    command = args.command or args.positional_command or file_values.get("command")
     if not command:
         raise ConfigError("no command given (positional, --command, or config file)")
     overrides["command"] = command
-    if "ht" in file_values and args.ht_rule:
-        file_values = dict(file_values)
-        del file_values["ht"]
+    if args.ht_rule:
+        file_values.pop("ht", None)
     return build_config(file_values, overrides)
 
 
 def run(config):
     """Execute the configured command; returns (rows, exit_code)."""
     violations = validate(config)
-    nonconverged = False
-    if config.command == "kappa":
-        rows = run_kappa(config)
-    elif config.command == "gmres":
-        rows, nonconverged = run_gmres(config)
-    elif config.command in ("spectrum", "fov"):
-        rows = run_cloud(config, violations)
-    elif config.command == "mms":
-        rows = run_mms(config)
-    else:
-        rows = run_export(config)
-    return rows, (2 if nonconverged else 0)
+    cloud = partial(run_cloud, violations=violations)
+    rows = {"kappa": run_kappa, "gmres": run_gmres, "spectrum": cloud, "fov": cloud,
+            "mms": run_mms, "export": run_export}[config.command](config)
+    return rows, (2 if any(not row.get("converged", True) for row in rows) else 0)
 
 
 def _write_output(text, config):
-    if config.command in ("spectrum", "fov", "export"):
-        # --out is the artifact directory; the summary goes alongside
-        if config.out:
-            path = os.path.join(config.out, f"summary.{config.format}")
-            with open(path, "w") as fh:
-                fh.write(text)
-        sys.stdout.write(text)
-    elif config.out:
-        with open(config.out, "w") as fh:
+    artifacts = config.command in ("spectrum", "fov", "export")
+    if config.out:
+        # for artifact commands --out is a directory; the summary goes there
+        path = _out_path(config, f"summary.{config.format}") if artifacts else config.out
+        with open(path, "w") as fh:
             fh.write(text)
-    else:
+    if artifacts or not config.out:
         sys.stdout.write(text)
 
 

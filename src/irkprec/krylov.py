@@ -2,7 +2,6 @@
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -28,7 +27,6 @@ class SolveReport:
     converged: bool
     breakdown: bool = False
     residual_history: list = field(default_factory=list)
-    true_residual_history: Optional[list] = None
 
 
 def _as_apply(obj):
@@ -41,7 +39,7 @@ def _as_apply(obj):
     raise TypeError(f"cannot interpret {type(obj).__name__} as a preconditioner")
 
 
-def gmres(op, prec, b, tol=1e-8, max_iter=500, track_true_residual=False):
+def gmres(op, prec, b, tol=1e-8, max_iter=500):
     """Full GMRES with modified Gram-Schmidt on the left-preconditioned
     system, zero initial guess.
 
@@ -74,17 +72,9 @@ def gmres(op, prec, b, tol=1e-8, max_iter=500, track_true_residual=False):
     g = np.zeros(max_iter + 1)
     g[0] = beta
     history = []
-    true_history = [] if track_true_residual else None
     converged = False
     breakdown = False
     k = 0
-
-    def current_solution(j):
-        y = np.linalg.solve(np.triu(H[:j, :j]), g[:j])
-        x = np.zeros(n)
-        for i in range(j):
-            x += y[i] * V[i]
-        return x
 
     for j in range(max_iter):
         w = apply_prec(op.apply(V[j]))
@@ -114,9 +104,6 @@ def gmres(op, prec, b, tol=1e-8, max_iter=500, track_true_residual=False):
         k = j + 1
         res = abs(g[j + 1]) / beta
         history.append(res)
-        if track_true_residual:
-            xj = current_solution(k)
-            true_history.append(np.linalg.norm(b - op.apply(xj)) / norm_b)
         if res <= tol:
             converged = True
             break
@@ -125,7 +112,10 @@ def gmres(op, prec, b, tol=1e-8, max_iter=500, track_true_residual=False):
             break
         V.append(w / hnext)
 
-    x = current_solution(k)
+    y = np.linalg.solve(np.triu(H[:k, :k]), g[:k])
+    x = np.zeros(n)
+    for i in range(k):
+        x += y[i] * V[i]
     resid = b - op.apply(x)
     true_res = np.linalg.norm(resid) / norm_b
     prec_res = np.linalg.norm(apply_prec(resid)) / beta
@@ -139,7 +129,6 @@ def gmres(op, prec, b, tol=1e-8, max_iter=500, track_true_residual=False):
         converged=converged,
         breakdown=breakdown,
         residual_history=history,
-        true_residual_history=true_history,
     )
     return x, report
 
@@ -151,15 +140,3 @@ def reference_solve(op, b):
         raise ResourceLimitError(
             f"s*N = {op.size} exceeds direct-solve guard {DIRECT_GUARD}")
     return op.solve(b)
-
-
-def residual_history_csv(report):
-    """CSV text (iteration, preconditioned, unpreconditioned) for one run."""
-    lines = ["iteration,preconditioned_residual,unpreconditioned_residual"]
-    for i, r in enumerate(report.residual_history, start=1):
-        if report.true_residual_history is not None:
-            t = f"{report.true_residual_history[i - 1]:.16e}"
-        else:
-            t = ""
-        lines.append(f"{i},{r:.16e},{t}")
-    return "\n".join(lines) + "\n"

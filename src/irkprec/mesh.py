@@ -33,12 +33,21 @@ class TriMesh:
         return self.triangles.shape[0]
 
 
-def build_mesh(k):
-    """Mesh with size h = 2^-k, i.e. n = 2^(k+1) subdivisions per side."""
+def _check_level(k):
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"mesh exponent k must be an integer >= 1, got {k!r}")
     if k > MAX_LEVEL:
         raise ResourceLimitError(f"mesh exponent k={k} exceeds guard {MAX_LEVEL}")
+
+
+def nodes_at_level(k):
+    """Node count N of the mesh build_mesh(k)."""
+    return (2 ** (k + 1) + 1) ** 2
+
+
+def build_mesh(k):
+    """Mesh with size h = 2^-k, i.e. n = 2^(k+1) subdivisions per side."""
+    _check_level(k)
     return _build_mesh_n(2 ** (k + 1))
 
 
@@ -69,27 +78,18 @@ def _build_mesh_n(n):
 
 @dataclass(frozen=True)
 class MeshHierarchy:
-    """Nested meshes from coarsest (n=2) to finest with P1 interpolation
-    operators between consecutive levels."""
+    """P1 interpolation operators between the nested meshes k = 1..k_fine,
+    coarsest first, and the node count of the finest mesh."""
 
-    levels: list           # TriMesh, coarse to fine
     prolongations: list    # prolongations[i]: level i -> level i+1
-
-    @property
-    def finest(self):
-        return self.levels[-1]
+    num_nodes: int
 
 
 def build_hierarchy(k_fine):
-    """Hierarchy of meshes for k = 1..k_fine with linear interpolation
-    prolongations on the nested grids."""
-    if k_fine < 1:
-        raise ValueError("k_fine must be >= 1")
-    levels = [build_mesh(k) for k in range(1, k_fine + 1)]
-    prolongations = [
-        _p1_prolongation(levels[i].n) for i in range(len(levels) - 1)
-    ]
-    return MeshHierarchy(levels=levels, prolongations=prolongations)
+    """Prolongations between the meshes k = 1..k_fine; builds no TriMesh."""
+    _check_level(k_fine)
+    prolongations = [_p1_prolongation(2 ** (k + 1)) for k in range(1, k_fine)]
+    return MeshHierarchy(prolongations=prolongations, num_nodes=nodes_at_level(k_fine))
 
 
 def _p1_prolongation(nc):

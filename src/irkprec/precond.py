@@ -114,7 +114,7 @@ def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
     elif subsolve == "vcycle":
         if hierarchy is None:
             raise ValueError("vcycle subsolves need a hierarchy")
-        if hierarchy.finest.num_nodes != M.shape[0]:
+        if hierarchy.num_nodes != M.shape[0]:
             raise ValueError("hierarchy finest mesh does not match M")
         levels = galerkin_levels(M, F, hierarchy.prolongations)
 

@@ -1,6 +1,7 @@
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import get_args, get_origin
 
 import numpy as np
 import pytest
@@ -8,12 +9,30 @@ import pytest
 from irkprec import analysis, cli, driver
 from irkprec.assembly import assemble_mass, assemble_stiffness
 from irkprec.cli import (ExperimentConfig, build_config, config_from_argv,
-                         emit, emit_csv, main, parse_config_file, run,
-                         run_cloud, run_export, run_gmres, run_kappa, validate)
+                         emit, emit_csv, main, make_parser, parse_config_file,
+                         run, run_cloud, run_export, run_gmres, run_kappa,
+                         validate)
 from irkprec.errors import ConfigError
 from irkprec.mesh import MAX_LEVEL, build_mesh
 from irkprec.precond import build_preconditioner
 from irkprec.stageop import StageOperator
+
+
+# one valid, non-default text per ExperimentConfig field
+FIELD_TEXT = {
+    "command": "gmres", "problem": "diffusion", "coeff": "variable-beta-zero",
+    "stages": "2, 3", "mesh_k": "1,2", "ht": "0.5,0.25", "precond": "LD, GSL",
+    "subsolve": "exact", "tol": "1e-6", "out": "table.csv", "format": "json",
+    "seed": "3", "n_angles": "64", "t_end": "0.25", "kappa_method": "dense",
+    "max_iter": "50",
+}
+
+
+def has_declared_type(value, kind):
+    if get_origin(kind) is tuple:
+        return isinstance(value, tuple) and all(isinstance(v, get_args(kind)[0])
+                                                for v in value)
+    return isinstance(value, kind)
 
 
 def tiny_config(**kw):
@@ -38,6 +57,24 @@ class TestConfig:
         assert config.tol == 1e-6
         assert config.precond == ("LD", "GSL")
 
+    @pytest.mark.parametrize("f", fields(ExperimentConfig), ids=lambda f: f.name)
+    def test_flag_and_file_key_agree(self, tmp_path, f):
+        # the flag and the file key of a field are parsed by the same code
+        # to the field's declared type, and checked only by validate
+        text = FIELD_TEXT[f.name]
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"command = kappa\n{f.name} = {text}\n")
+        flag = "--" + f.name.replace("_", "-")
+        from_flag = config_from_argv(["--command", "kappa", flag, text])
+        from_file = config_from_argv(["--config", str(path)])
+        assert from_flag == from_file
+        value = getattr(from_flag, f.name)
+        assert value != f.default
+        assert has_declared_type(value, f.type)
+        action = next(a for a in make_parser()._actions if flag in a.option_strings)
+        assert action.dest == f.name
+        assert action.type is None and action.choices is None
+
     def test_flag_overrides_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("command = kappa\nstages = 2,3\n")
@@ -53,10 +90,12 @@ class TestConfig:
             config_from_argv(["--stages", "2"])
 
     def test_unknown_field_in_file(self, tmp_path):
+        # `timesteps` is a method of ExperimentConfig, not a field
         path = tmp_path / "exp.cfg"
-        path.write_text("command = kappa\nbogus = 3\n")
-        with pytest.raises(ConfigError):
-            config_from_argv(["--config", str(path)])
+        for key in ("bogus", "timesteps"):
+            path.write_text(f"command = kappa\n{key} = 3\n")
+            with pytest.raises(ConfigError):
+                config_from_argv(["--config", str(path)])
 
     def test_validate_rejects_incompatible_pair(self):
         with pytest.raises(ConfigError):
@@ -148,9 +187,8 @@ class TestGmresCommand:
         config = tiny_config(command="gmres", problem="pennes",
                              coeff="variable", stages=(2,), mesh_k=(2,),
                              precond=("LD", "GSL"), subsolve="vcycle")
-        rows, nonconv = run_gmres(config)
+        rows = run_gmres(config)
         assert len(rows) == 2
-        assert not nonconv
         for row in rows:
             assert row["converged"]
             assert row["rel_residual"] <= config.tol
@@ -162,7 +200,7 @@ class TestGmresCommand:
         config = tiny_config(command="gmres", problem="pennes",
                              coeff="variable", stages=(2,), mesh_k=(1,),
                              precond=("LD",), subsolve="exact", tol=1.0)
-        rows, _ = run_gmres(config)
+        rows = run_gmres(config)
         assert rows[0]["iterations"] <= 1
 
     @pytest.mark.parametrize("problem", ["diffusion", "wave"])
@@ -171,7 +209,7 @@ class TestGmresCommand:
         config = tiny_config(command="gmres", problem=problem, stages=(2,),
                              mesh_k=(2,), precond=("LD",), subsolve="exact",
                              tol=1e-12)
-        rows, _ = run_gmres(config)
+        rows = run_gmres(config)
         h_t = rows[0]["h_t"]
         mesh = build_mesh(2)
         spec = driver.mms_problem(problem, config.coeff)
@@ -192,7 +230,7 @@ class TestGmresCommand:
         config = tiny_config(command="gmres", problem="klein-gordon",
                              coeff="variable", stages=(3,), mesh_k=(4, 5),
                              precond=("J", "LD"), subsolve="vcycle")
-        rows, _ = run_gmres(config)
+        rows = run_gmres(config)
         assert all(row["converged"] for row in rows)
         ld = [row["iterations"] for row in rows if row["precond"] == "LD"]
         assert len(ld) == 2
@@ -204,8 +242,7 @@ class TestGmresCommand:
                              coeff="variable", stages=(3,), mesh_k=(2,),
                              precond=("J",), subsolve="exact",
                              tol=1e-12, max_iter=1)
-        rows, nonconv = run_gmres(config)
-        assert nonconv
+        rows = run_gmres(config)
         assert len(rows) == 1
         assert not rows[0]["converged"]
         _, code = run(config)
@@ -229,6 +266,7 @@ class TestCloudCommands:
             assert row["file"].startswith(f"{command}_")
             data = np.loadtxt(tmp_path / row["file"], delimiter=",", skiprows=1)
             assert data.shape == (n_points, 2)
+            assert b"\r" not in (tmp_path / row["file"]).read_bytes()
         stat = CLOUD_STATS[command][0]
         assert rows[1][stat] > rows[0][stat]
 
@@ -331,10 +369,37 @@ class TestMain:
         assert main(["kappa", "--problem", "wave", "--coeff", "constant-ones"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("key,text", [
+        ("problem", "foo"), ("tol", "abc"), ("n_angles", "x"),
+        ("precond", "LD,XX"), ("stages", "2,x"), ("format", "xml")])
+    def test_bad_values_are_config_errors(self, tmp_path, capsys, source, key, text):
+        if source == "flag":
+            argv = ["kappa", "--" + key.replace("_", "-"), text]
+        else:
+            path = tmp_path / "exp.cfg"
+            path.write_text(f"{key} = {text}\n")
+            argv = ["kappa", "--config", str(path)]
+        assert main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["kappa", "--bogus", "1"], ["kappa", "--tol"]])
+    def test_bad_arguments_are_config_errors(self, capsys, argv):
+        assert main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_unreadable_config_file(self, tmp_path, capsys):
+        assert main(["kappa", "--config", str(tmp_path / "missing.cfg")]) == 1
+        assert "config error: cannot read config file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["mms", "--t-end", "0"],
         ["gmres", "--max-iter", "0"],
         ["kappa", "--mesh-k", str(MAX_LEVEL + 1)],
+        ["mms", "--t-end", "inf"],
+        ["kappa", "--ht", "0.1,nan"],
+        ["gmres", "--tol", "nan"],
+        ["kappa", "--kappa-method", "iterative", "--seed", "-1"],
     ])
     def test_out_of_range_values_are_config_errors(self, capsys, argv):
         assert main(argv) == 1

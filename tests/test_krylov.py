@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from irkprec.assembly import assemble_mass, assemble_stiffness, coefficient_preset
 from irkprec.butcher import nystrom_from, gauss_legendre, radau_iia
 from irkprec.errors import ResourceLimitError
-from irkprec.krylov import gmres, reference_solve, residual_history_csv
+from irkprec.krylov import gmres, reference_solve
 from irkprec.mesh import build_hierarchy, build_mesh
 from irkprec.precond import build_preconditioner
 from irkprec.stageop import StageOperator
@@ -118,17 +118,6 @@ class TestGmres:
             gmres(op, None, b, tol=0.0)
         with pytest.raises(ValueError):
             gmres(op, None, b, tol=1e-8, max_iter=0)
-
-    def test_true_residual_tracking(self, diffusion_system):
-        mesh, M, F, t, op, b = diffusion_system
-        prec = build_preconditioner(t, "LD", M, F, op.h_t, 1, subsolve="exact")
-        x, report = gmres(op, prec, b, tol=1e-10, track_true_residual=True)
-        assert len(report.true_residual_history) == report.iterations
-        assert report.true_residual_history[-1] <= 1e-8
-        text = residual_history_csv(report)
-        lines = text.strip().splitlines()
-        assert lines[0] == "iteration,preconditioned_residual,unpreconditioned_residual"
-        assert len(lines) == report.iterations + 1
 
     def test_vcycle_preconditioned_convergence(self):
         k = 4

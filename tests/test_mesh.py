@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from irkprec.errors import ResourceLimitError
-from irkprec.mesh import (build_hierarchy, build_mesh, read_mesh_text,
-                          write_mesh_text)
+from irkprec.mesh import (MAX_LEVEL, build_hierarchy, build_mesh, nodes_at_level,
+                          read_mesh_text, write_mesh_text)
 
 
 def signed_areas(mesh):
@@ -52,13 +52,26 @@ class TestBuildMesh:
 class TestHierarchy:
     def test_two_levels_shapes(self):
         hi = build_hierarchy(2)
-        assert len(hi.levels) == 2
+        assert len(hi.prolongations) == 1
         P = hi.prolongations[0]
         assert P.shape == (81, 25)
 
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_prolongations_match_meshes(self, k):
+        hi = build_hierarchy(k)
+        sizes = [build_mesh(j).num_nodes for j in range(1, k + 1)]
+        assert [P.shape for P in hi.prolongations] == list(zip(sizes[1:], sizes))
+        assert hi.num_nodes == sizes[-1] == nodes_at_level(k)
+
+    def test_guards(self):
+        with pytest.raises(ValueError):
+            build_hierarchy(0)
+        with pytest.raises(ResourceLimitError):
+            build_hierarchy(MAX_LEVEL + 1)
+
     def test_nestedness(self):
-        hi = build_hierarchy(3)
-        for coarse, fine in zip(hi.levels, hi.levels[1:]):
+        levels = [build_mesh(k) for k in (1, 2, 3)]
+        for coarse, fine in zip(levels, levels[1:]):
             coarse_set = {tuple(p) for p in np.round(coarse.nodes, 12)}
             fine_set = {tuple(p) for p in np.round(fine.nodes, 12)}
             assert coarse_set <= fine_set
@@ -71,7 +84,7 @@ class TestHierarchy:
 
     def test_prolongation_reproduces_linears(self):
         hi = build_hierarchy(2)
-        coarse, fine = hi.levels
+        coarse, fine = build_mesh(1), build_mesh(2)
         v = coarse.nodes[:, 0] + coarse.nodes[:, 1]
         vf = hi.prolongations[0] @ v
         assert np.allclose(vf, fine.nodes[:, 0] + fine.nodes[:, 1], atol=1e-13)
