@@ -33,6 +33,7 @@ from .precond import build_preconditioner
 from .stageop import DENSE_GUARD, StageOperator, build_stage_rhs
 
 COMMANDS = ("kappa", "spectrum", "fov", "gmres", "mms", "export")
+ARTIFACT_COMMANDS = ("spectrum", "fov", "export")  # --out is a directory
 FORMATS = ("csv", "json", "md")
 ALL_KINDS = ("J", "GSL", "TRIU", "LD", "DU")
 
@@ -107,6 +108,11 @@ def validate(config):
         raise ConfigError("n-angles must be >= 8")
     if config.seed < 0:
         raise ConfigError("seed must be >= 0")
+    if config.out and config.command not in ARTIFACT_COMMANDS:
+        # checked before any row is computed: the table is opened only at the end
+        folder = os.path.dirname(config.out) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"out: directory {folder!r} does not exist")
 
     violations = []
     for s in config.stages:
@@ -500,7 +506,7 @@ def run(config):
 
 
 def _write_output(text, config):
-    artifacts = config.command in ("spectrum", "fov", "export")
+    artifacts = config.command in ARTIFACT_COMMANDS
     if config.out:
         # for artifact commands --out is a directory; the summary goes there
         path = _out_path(config, f"summary.{config.format}") if artifacts else config.out

@@ -6,11 +6,10 @@ mesh hierarchy are needed.
 """
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .butcher import PreconditionerKind, butcher_preconditioner_matrix, is_lower_kind
 from .errors import SubsolveError
-from .stageop import StageOperator
+from .stageop import StageOperator, factor
 
 SMOOTHER_DAMPING = 2.0 / 3.0
 PRE_SWEEPS = 2
@@ -30,7 +29,8 @@ class ExactSubsolver:
     """Sparse direct solver for one diagonal block M + h_t^mu p F."""
 
     def __init__(self, S):
-        self.lu = spla.splu(S.tocsc())
+        self.lu = factor(S)
+        self.nnz = self.lu.nnz
 
     def solve(self, r):
         return self.lu.solve(r)
@@ -41,7 +41,8 @@ class VCycleSubsolver:
     (M_l, F_l) of galerkin_levels, coarse to fine.
 
     Damped Jacobi (omega = 2/3) smoothing, residual restriction by the
-    transpose of the interpolation, exact LU solve on the coarsest level.
+    transpose of the interpolation, exact LU solve on the coarsest level
+    (nnz is that LU's fill).
     """
 
     def __init__(self, levels, prolongations, c):
@@ -50,7 +51,8 @@ class VCycleSubsolver:
         if any(np.any(d == 0.0) for d in self.diag):
             raise SubsolveError("zero diagonal entry in multigrid level matrix")
         self.prolongations = prolongations  # [l]: level l -> level l + 1
-        self.coarse_lu = spla.splu(self.S[0].tocsc())
+        self.coarse_lu = factor(self.S[0])
+        self.nnz = self.coarse_lu.nnz
 
     def solve(self, r):
         return self._cycle(r, len(self.S) - 1)
@@ -59,7 +61,9 @@ class VCycleSubsolver:
         if level == 0:
             return self.coarse_lu.solve(r)
         R = self.prolongations[level - 1]
-        x = self._jacobi(level, np.zeros_like(r), r, PRE_SWEEPS)
+        # the first sweep starts from x = 0, where S x is not needed
+        x = self._jacobi(level, SMOOTHER_DAMPING * r / self.diag[level], r,
+                         PRE_SWEEPS - 1)
         x = x + R @ self._cycle(R.T @ (r - self.S[level] @ x), level - 1)
         return self._jacobi(level, x, r, POST_SWEEPS)
 

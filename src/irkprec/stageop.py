@@ -6,6 +6,14 @@ the system operator, or a preconditioner matrix P for the corresponding
 block preconditioner. Stage vectors are stored stage-major: x[i*N:(i+1)*N]
 is the i-th stage block. The solve substitutes over stages with N x N
 LUs: directly for a triangular C, else in the real Schur basis of C.
+
+Every LU of a block M + c F (c real or complex) is made by factor(): a
+minimum-degree ordering of the pattern of S^T + S, with SuperLU's
+symmetric mode, which prefers diagonal pivots. M and F share one
+symmetric sparsity pattern, and the Hermitian part of M + c F is positive
+definite for Re c >= 0, so the diagonal is a sound pivot sequence and a
+symmetric ordering fills less than the default COLAMD ordering of
+unsymmetric matrices. Partial pivoting (the default threshold) stays on.
 """
 
 import numpy as np
@@ -17,6 +25,12 @@ from .butcher import ButcherTableau
 from .errors import FactorizationError, ResourceLimitError
 
 DENSE_GUARD = 20000  # max s*N for materialize()
+
+
+def factor(S):
+    """Sparse LU of a block M + c F in the symmetric ordering (see above)."""
+    return splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                options={"SymmetricMode": True})
 
 
 class StageOperator:
@@ -54,6 +68,16 @@ class StageOperator:
     @property
     def size(self):
         return self.s * self.N
+
+    @property
+    def factor_nnz(self):
+        """Stored L + U nonzeros of the distinct block solvers behind
+        solve() (SuperLU's count, no copy of the factors); 0 before the
+        first solve."""
+        if self._factors is None:
+            return 0
+        solvers = {id(solver): solver for *_, solver in self._factors[3]}
+        return sum(solver.nnz for solver in solvers.values())
 
     def reset_counters(self):
         self.n_mass_matvecs = 0
@@ -142,7 +166,7 @@ class StageOperator:
                     raise FactorizationError(lo, f"Schur block at {lo} is not standardized")
                 a = a + 1j * np.sqrt(-bc)
             if a not in lus:
-                lus[a] = splu((self.M + self.h_t ** self.mu * a * self.F).tocsc())
+                lus[a] = factor(self.M + self.h_t ** self.mu * a * self.F)
             blocks.append((lo, hi, lus[a]))
         return Q, T, lower, blocks
 

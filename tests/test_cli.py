@@ -404,3 +404,11 @@ class TestMain:
     def test_out_of_range_values_are_config_errors(self, capsys, argv):
         assert main(argv) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["kappa", "gmres", "mms"])
+    def test_out_checked_before_rows(self, tmp_path, capsys, monkeypatch, command):
+        # a table whose --out cannot be opened is refused before any row runs
+        monkeypatch.setattr(cli, "run_" + command, lambda config: pytest.fail("rows computed"))
+        argv = [command, "--stages", "1", "--mesh-k", "1", "--precond", "LD", "--out"]
+        assert main(argv + [str(tmp_path / "missing" / "x.csv")]) == 1
+        assert "config error: out: directory" in capsys.readouterr().err

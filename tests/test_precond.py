@@ -8,7 +8,8 @@ from irkprec.butcher import gauss_legendre, nystrom_from, radau_iia
 from irkprec.errors import SubsolveError
 from irkprec.krylov import gmres
 from irkprec.mesh import build_hierarchy, build_mesh
-from irkprec.precond import VCycleSubsolver, build_preconditioner, galerkin_levels
+from irkprec.precond import (POST_SWEEPS, PRE_SWEEPS, SMOOTHER_DAMPING,
+                             VCycleSubsolver, build_preconditioner, galerkin_levels)
 from irkprec.stageop import StageOperator
 
 ALL_KINDS = ("J", "GSL", "TRIU", "LD", "DU")
@@ -165,6 +166,28 @@ class TestVCycle:
         sub.solve(np.ones(sub.S[-1].shape[0]))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_matches_cycle_with_zero_start(self, k):
+        # the first pre-smoothing sweep skips S x for x = 0; the cycle that
+        # computes it must give the same bits
+        sub = self.make_vcycle(k, 0.1, "variable")
+
+        def jacobi(level, x, b, sweeps):
+            for _ in range(sweeps):
+                x = x + SMOOTHER_DAMPING * (b - sub.S[level] @ x) / sub.diag[level]
+            return x
+
+        def cycle(r, level):
+            if level == 0:
+                return sub.coarse_lu.solve(r)
+            R = sub.prolongations[level - 1]
+            x = jacobi(level, np.zeros_like(r), r, PRE_SWEEPS)
+            x = x + R @ cycle(R.T @ (r - sub.S[level] @ x), level - 1)
+            return jacobi(level, x, r, POST_SWEEPS)
+
+        r = np.random.default_rng(k).standard_normal(sub.S[-1].shape[0])
+        assert np.array_equal(sub.solve(r), cycle(r, k - 1))
+
 
 class TestVCycleSubsolves:
     @pytest.mark.parametrize("kind", ("GSL", "LD", "DU"))
@@ -187,6 +210,21 @@ class TestVCycleSubsolves:
         z_mg = mg.apply_inverse(r)
         rel = np.linalg.norm(z_mg - z_exact) / np.linalg.norm(z_exact)
         assert rel < 0.5  # a single cycle is a rough but usable solve
+
+    def test_factor_nnz_counts_distinct_subsolvers(self):
+        # J of Gauss-Legendre Nystrom s=2 has two equal diagonal entries: one
+        # subsolver serves both stages and is counted once
+        k = 3
+        mesh = build_mesh(k)
+        M = assemble_mass(mesh)
+        F = assemble_stiffness(mesh, coefficient_preset("variable"))
+        for subsolve, hierarchy in (("exact", None), ("vcycle", build_hierarchy(k))):
+            prec = build_preconditioner(nystrom_from(gauss_legendre(2)), "J", M, F,
+                                        0.3, 2, subsolve=subsolve, hierarchy=hierarchy)
+            assert prec.subsolvers[0] is prec.subsolvers[1]
+            assert prec.factor_nnz == 0
+            prec.apply_inverse(np.ones(prec.size))
+            assert prec.factor_nnz == prec.subsolvers[0].nnz > 0
 
     def test_requires_hierarchy(self):
         mesh = build_mesh(2)

@@ -8,6 +8,7 @@ from irkprec import stageop
 from irkprec.assembly import assemble_mass, assemble_stiffness, coefficient_preset
 from irkprec.butcher import (butcher_preconditioner_matrix, gauss_legendre,
                              nystrom_from, radau_iia)
+from irkprec.driver import method_tableau, mms_problem, timestep_rule
 from irkprec.errors import FactorizationError, ResourceLimitError
 from irkprec.mesh import build_mesh
 from irkprec.precond import build_preconditioner
@@ -204,7 +205,8 @@ class TestSolve:
     def test_nothing_factored_before_first_solve(self, small_system, monkeypatch):
         _, M, F = small_system
         calls = []
-        monkeypatch.setattr(stageop, "splu", lambda A: calls.append(A) or splu(A))
+        monkeypatch.setattr(stageop, "splu",
+                            lambda A, *args, **kwargs: calls.append(A) or splu(A, *args, **kwargs))
         op = StageOperator(radau_iia(3), M, F, 0.4, 1)
         op.apply(np.ones(op.size))
         assert calls == []
@@ -219,6 +221,36 @@ class TestSolve:
         op = StageOperator(radau_iia(2), M, F, 0.5, 1)
         with pytest.raises(FactorizationError):
             op.solve(np.ones(op.size))
+
+
+class TestFactor:
+    """The symmetric-ordering LUs of the blocks M + c F at mesh size."""
+
+    @pytest.mark.parametrize("name,coeff", [("diffusion", "constant-diffusion"),
+                                            ("pennes", "variable"),
+                                            ("wave", "constant-diffusion"),
+                                            ("klein-gordon", "variable")])
+    def test_solve_accurate_at_mesh_size(self, name, coeff):
+        # s = 3 gives one real block and one complex Schur block for both tableaus
+        mesh = build_mesh(4)
+        problem = mms_problem(name, coeff)
+        t = method_tableau(name, 3)
+        op = StageOperator(t, assemble_mass(mesh), assemble_stiffness(mesh, problem.coeff),
+                           timestep_rule(mesh.h, 3, t.kind), problem.mu)
+        r = np.random.default_rng(3).standard_normal(op.size)
+        assert np.linalg.norm(op.apply(op.solve(r)) - r) <= 1e-12 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("coupling,c", [([[0.3]], 0.3),
+                                            ([[0.3, -0.2], [0.2, 0.3]], 0.3 + 0.2j)])
+    def test_less_fill_than_default_ordering(self, coupling, c):
+        mesh = build_mesh(5)
+        M = assemble_mass(mesh)
+        F = assemble_stiffness(mesh, coefficient_preset("variable"))
+        op = StageOperator(np.array(coupling), M, F, 0.1, 1)
+        assert op.factor_nnz == 0
+        op.solve(np.ones(op.size))
+        default = splu((M + 0.1 * c * F).tocsc())
+        assert 0 < op.factor_nnz < default.L.nnz + default.U.nnz
 
 
 class TestStageRhs:
