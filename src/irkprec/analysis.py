@@ -1,5 +1,16 @@
 """Spectral diagnostics of (preconditioned) stage operators: 2-norm
 condition numbers, eigenvalue spectra, and field-of-values boundaries.
+
+The dense route forms A_h by StageOperator.materialize and P_h^-1 A_h by
+P_h's exact Kronecker solve (StageOperator.solve) with A_h as an s N x
+s N block of right-hand sides; P_h itself is never materialized. Its
+singular values and eigenvalues come from LAPACK.
+
+The iterative route (condition_number_iterative) takes sigma_max of
+X = P_h^-1 A_h and of X^-1 = A_h^-1 P_h by Lanczos on the Gram operator
+X^T X, applied with StageOperator.apply/solve and their transposes. The
+ARPACK residual test bounds the error of sigma^2 by tol sigma^2, so each
+sigma is accurate to tol/2 and kappa to about tol, relative.
 """
 
 from dataclasses import dataclass
@@ -35,43 +46,57 @@ def _prec_matrix(prec):
 
 
 def preconditioned_dense(op, prec):
-    """Dense A_h, or dense(P_h)^-1 dense(A_h) when prec is given; both
-    are subject to the dense-materialization guard."""
+    """Dense A_h, or P_h^-1 A_h when prec is given: P_h's exact Kronecker
+    solve (StageOperator.solve, stage-wise substitution with sparse LUs
+    of the blocks M + h_t^mu p_ii F) applied to all s N columns of dense
+    A_h at once. P_h is never materialized; A_h is, under the dense
+    guard."""
     A = op.materialize()
     P = _prec_matrix(prec)
     if P is None:
         return A
-    Ph = StageOperator(P, op.M, op.F, op.h_t, op.mu).materialize()
-    return np.linalg.solve(Ph, A)
+    return StageOperator(P, op.M, op.F, op.h_t, op.mu).solve(A)
+
+
+def _svdvals(B):
+    """Singular values of B, descending. B is overwritten: LAPACK works in
+    place on B.T, the Fortran-ordered view of a C-ordered B, and its
+    singular values are B's."""
+    return scipy.linalg.svdvals(B.T, overwrite_a=True, check_finite=False)
 
 
 def condition_number(op, prec=None):
-    """kappa_2 via singular values of the materialized matrix, or of
-    dense(P_h)^-1 dense(A_h) with exact dense inversion when prec is given.
-    Subject to the dense-materialization guard."""
-    sv = scipy.linalg.svdvals(preconditioned_dense(op, prec))
+    """kappa_2 from the singular values of the dense matrix of
+    preconditioned_dense. Subject to the dense-materialization guard."""
+    sv = _svdvals(preconditioned_dense(op, prec))
     return sv[0] / sv[-1]
 
 
 def _sigma_max(matvec, rmatvec, n, tol, seed):
+    """Largest singular value of X as ||X v|| for the top eigenvector v of
+    the Gram operator X^T X, found by Lanczos (ARPACK) to relative
+    residual tol from a seeded start vector."""
     v0 = np.random.default_rng(seed).standard_normal(n)
-    lin = spla.LinearOperator((n, n), matvec=lambda x: matvec(x.ravel()),
-                              rmatvec=lambda x: rmatvec(x.ravel()))
+    gram = spla.LinearOperator((n, n), dtype=float,
+                               matvec=lambda x: rmatvec(matvec(x.ravel())))
     try:
-        s = spla.svds(lin, k=1, which="LM", tol=tol, v0=v0,
-                      return_singular_vectors=False, maxiter=5000)
+        _, V = spla.eigsh(gram, k=1, which="LA", tol=tol, v0=v0, maxiter=5000)
     except spla.ArpackNoConvergence as exc:
         if exc.eigenvalues is not None and len(exc.eigenvalues):
             return float(np.sqrt(np.abs(exc.eigenvalues).max()))
         raise
-    return float(s[0])
+    v = V[:, 0]
+    return float(np.linalg.norm(matvec(v)) / np.linalg.norm(v))
 
 
 def condition_number_iterative(op, prec=None, tol=1e-8, seed=0):
-    """kappa_2 of P_h^-1 A_h (A_h without prec) from sigma_max by Lanczos
-    and sigma_min as 1/sigma_max of the inverse, A_h^-1 P_h, applied with
-    StageOperator.apply/solve and their transposes. Matches the dense
-    route to solver tolerance and has no dense-size guard."""
+    """kappa_2 of X = P_h^-1 A_h (A_h without prec) as sigma_max(X) times
+    sigma_max(X^-1), X^-1 = A_h^-1 P_h, each by Lanczos on its Gram
+    operator (see _sigma_max), applied with StageOperator.apply/solve and
+    their transposes. tol is the relative accuracy of kappa: the Gram
+    residual tol bounds each sigma's relative error by tol/2, so kappa
+    matches the dense route to about tol. `seed` sets the start vector;
+    there is no dense-size guard."""
     n = op.size
     P = _prec_matrix(prec)
     if P is None:
@@ -92,7 +117,7 @@ def spectrum(op, prec=None, label=""):
     """Full eigenvalue set of the (preconditioned) dense matrix."""
     B = preconditioned_dense(op, prec)
     ev = np.linalg.eigvals(B)
-    sv = scipy.linalg.svdvals(B)
+    sv = _svdvals(B)  # after eigvals: overwrites B
     return SpectrumResult(eigenvalues=ev, kappa=sv[0] / sv[-1], label=label)
 
 

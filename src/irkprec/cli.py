@@ -113,6 +113,8 @@ def validate(config):
         folder = os.path.dirname(config.out) or "."
         if not os.path.isdir(folder):
             raise ConfigError(f"out: directory {folder!r} does not exist")
+        if os.path.isdir(config.out):
+            raise ConfigError(f"out: {config.out!r} is a directory")
 
     violations = []
     for s in config.stages:

@@ -55,6 +55,8 @@ class VCycleSubsolver:
         self.nnz = self.coarse_lu.nnz
 
     def solve(self, r):
+        if np.ndim(r) != 1:
+            raise ValueError("a V-cycle subsolve takes one vector, not a block")
         return self._cycle(r, len(self.S) - 1)
 
     def _cycle(self, r, level):

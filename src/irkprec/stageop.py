@@ -107,7 +107,8 @@ class StageOperator:
         return Y.T.ravel()
 
     def solve(self, r):
-        """Exact solve with the operator; factors on the first call."""
+        """Exact solve with the operator, of one stage vector or of the
+        columns of an (s N, m) block; factors on the first call."""
         return self._solve(r, transpose=False)
 
     def solve_transpose(self, r):
@@ -117,13 +118,19 @@ class StageOperator:
     def _solve(self, r, transpose):
         """Forward (lower) or backward substitution over the stages of the
         quasi-triangular T, one solver per diagonal block of T, in the
-        basis Q; each F z_j is formed at most once."""
+        basis Q; each F z_j is formed at most once. r is a stage vector
+        of length s N or an (s N, m) block of them, solved column-wise."""
         if self._factors is None:
             self._factors = self._factor()
         Q, T, lower, blocks = self._factors
         if transpose:
             T, lower = T.T, not lower
-        R = self._blocks(r) if Q is None else Q.T @ self._blocks(r)
+        r = np.asarray(r, dtype=float)
+        if r.ndim not in (1, 2) or r.shape[0] != self.size:
+            raise ValueError(f"expected {self.size} rows of stage vectors, got {r.shape}")
+        R = r.reshape(self.s, self.N, *r.shape[1:])
+        if Q is not None:
+            R = np.tensordot(Q.T, R, axes=1)
         scale = self.h_t ** self.mu
         Z = np.empty_like(R)
         FZ = [None] * self.s
@@ -144,7 +151,9 @@ class StageOperator:
                 kappa = -b / np.sqrt(-b * T[lo + 1, lo])
                 z = solver.solve(acc[0] + 1j * kappa * acc[1])
                 Z[lo], Z[lo + 1] = z.real, z.imag / kappa
-        return (Z if Q is None else Q @ Z).ravel()
+        if Q is not None:
+            Z = np.tensordot(Q, Z, axes=1)
+        return Z.reshape(r.shape)
 
     def _factor(self):
         """(Q, T, lower, blocks) for _solve(): C = Q T Q^T in real Schur form,

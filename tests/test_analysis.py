@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from irkprec.analysis import (butcher_kappa, condition_number,
                               condition_number_iterative, field_of_values,
-                              spectrum)
+                              preconditioned_dense, spectrum)
 from irkprec.assembly import assemble_mass, assemble_stiffness, coefficient_preset
 from irkprec.butcher import (butcher_preconditioner_matrix, gauss_legendre,
                              nystrom_from, radau_iia)
@@ -12,6 +12,21 @@ from irkprec.errors import ResourceLimitError
 from irkprec.mesh import build_mesh
 from irkprec.precond import build_preconditioner
 from irkprec.stageop import StageOperator
+
+
+@pytest.fixture(scope="module")
+def kappa_systems():
+    """(label, A_h, tableau) for Radau IIA diffusion (s = 2 at k = 3, s = 3
+    at k = 2) and Gauss-Legendre Nystrom wave (s = 3 at k = 3), h_t = 0.5."""
+    coeff = coefficient_preset("constant-diffusion")
+    systems = []
+    for name, t, mu, k in (("radau-iia-2", radau_iia(2), 1, 3),
+                           ("radau-iia-3", radau_iia(3), 1, 2),
+                           ("gl-nystrom-3", nystrom_from(gauss_legendre(3)), 2, 3)):
+        mesh = build_mesh(k)
+        M, F = assemble_mass(mesh), assemble_stiffness(mesh, coeff)
+        systems.append((name, StageOperator(t, M, F, 0.5, mu), t))
+    return systems
 
 
 @pytest.fixture(scope="module")
@@ -55,23 +70,45 @@ class TestConditionNumber:
             condition_number(op)
 
     @pytest.mark.parametrize("kind", ["J", "GSL", "TRIU", "LD", "DU"])
-    def test_iterative_matches_dense(self, wave_system, kind):
-        _, M, F = wave_system
-        t = nystrom_from(gauss_legendre(3))
-        h_t = 0.5
-        op = StageOperator(t, M, F, h_t, 2)
-        prec = build_preconditioner(t, kind, M, F, h_t, 2, subsolve="exact")
-        dense = condition_number(op, prec)
-        iterative = condition_number_iterative(op, prec, seed=1)
-        assert abs(iterative - dense) <= 1e-4 * dense
+    def test_iterative_matches_dense(self, kappa_systems, kind):
+        for name, op, t in kappa_systems:
+            P = butcher_preconditioner_matrix(t, kind)
+            dense = condition_number(op, P)
+            iterative = condition_number_iterative(op, P, seed=1)
+            assert abs(iterative - dense) <= 1e-8 * dense, name
 
-    def test_iterative_unpreconditioned_matches_dense(self, wave_system):
-        _, M, F = wave_system
-        t = nystrom_from(gauss_legendre(2))
-        op = StageOperator(t, M, F, 0.5, 2)
-        dense = condition_number(op)
-        iterative = condition_number_iterative(op, seed=2)
-        assert abs(iterative - dense) <= 1e-4 * dense
+    def test_iterative_unpreconditioned_matches_dense(self, kappa_systems):
+        for name, op, _ in kappa_systems:
+            dense = condition_number(op)
+            iterative = condition_number_iterative(op, seed=2)
+            assert abs(iterative - dense) <= 1e-8 * dense, name
+
+    @pytest.mark.parametrize("kind", ["none", "J", "LD"])
+    def test_iterative_independent_of_seed(self, kappa_systems, kind):
+        for name, op, t in kappa_systems:
+            P = None if kind == "none" else butcher_preconditioner_matrix(t, kind)
+            kappas = [condition_number_iterative(op, P, seed=seed) for seed in (0, 1, 2)]
+            assert max(kappas) - min(kappas) <= 1e-8 * min(kappas), name
+
+    @pytest.mark.parametrize("kind", ["J", "GSL", "TRIU", "LD", "DU"])
+    def test_dense_route_materializes_only_a(self, monkeypatch, kind):
+        # P_h^-1 A_h comes from P_h's Kronecker solve: no dense P_h is built
+        mesh = build_mesh(2)
+        M = assemble_mass(mesh)
+        F = assemble_stiffness(mesh, coefficient_preset("variable"))
+        t = radau_iia(3)
+        op = StageOperator(t, M, F, 0.3, 1)
+        P = butcher_preconditioner_matrix(t, kind)
+        A = op.materialize()
+        Ph = StageOperator(P, M, F, 0.3, 1).materialize()
+        calls = []
+        materialize = StageOperator.materialize
+        monkeypatch.setattr(StageOperator, "materialize",
+                            lambda self: calls.append(self) or materialize(self))
+        B = preconditioned_dense(op, P)
+        assert calls == [op]
+        expected = np.linalg.solve(Ph, A)
+        assert np.linalg.norm(B - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestSpectrum:

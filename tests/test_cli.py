@@ -163,8 +163,10 @@ class TestKappaCommand:
     def test_rows_need_no_factored_preconditioner(self, tmp_path, monkeypatch,
                                                   command, route):
         # these routes use only the s x s matrix P: no subsolver LU is built
+        # kappa writes a table file, spectrum and fov a directory of artifacts
+        out = tmp_path / "kappa.csv" if command == "kappa" else tmp_path
         config = tiny_config(command=command, stages=(2,), precond=("J", "LD"),
-                             kappa_method=route, out=str(tmp_path), n_angles=16)
+                             kappa_method=route, out=str(out), n_angles=16)
         ws = cli._Workspace(config)
         M, F = ws.matrices(1)
         op = ws.operator(2, 1, ws.mesh(1).h)
@@ -412,3 +414,11 @@ class TestMain:
         argv = [command, "--stages", "1", "--mesh-k", "1", "--precond", "LD", "--out"]
         assert main(argv + [str(tmp_path / "missing" / "x.csv")]) == 1
         assert "config error: out: directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["kappa", "gmres", "mms"])
+    def test_out_directory_refused(self, tmp_path, capsys, monkeypatch, command):
+        # a table's --out naming a directory is refused before any row runs
+        monkeypatch.setattr(cli, "run_" + command, lambda config: pytest.fail("rows computed"))
+        argv = [command, "--stages", "1", "--mesh-k", "1", "--precond", "LD"]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert f"config error: out: {str(tmp_path)!r} is a directory" in capsys.readouterr().err

@@ -226,6 +226,20 @@ class TestVCycleSubsolves:
             prec.apply_inverse(np.ones(prec.size))
             assert prec.factor_nnz == prec.subsolvers[0].nnz > 0
 
+    def test_vcycle_refuses_block_input(self):
+        # a V-cycle smooths one vector; a block of them would broadcast
+        # wrongly through r / diag (here m = N, where the shapes agree)
+        k = 2
+        mesh = build_mesh(k)
+        M = assemble_mass(mesh)
+        F = assemble_stiffness(mesh, coefficient_preset("variable"))
+        prec = build_preconditioner(radau_iia(2), "LD", M, F, 0.3, 1,
+                                    subsolve="vcycle", hierarchy=build_hierarchy(k))
+        R = np.ones((prec.size, mesh.num_nodes))
+        for solve in (prec.apply_inverse, prec.apply_inverse_transpose):
+            with pytest.raises(ValueError):
+                solve(R)
+
     def test_requires_hierarchy(self):
         mesh = build_mesh(2)
         coeff = coefficient_preset("constant-ones")

@@ -202,6 +202,27 @@ class TestSolve:
         assert np.array_equal(prec.apply_inverse(r), op.solve(r))
         assert np.array_equal(prec.apply_inverse_transpose(r), op.solve_transpose(r))
 
+    @PROPERTY
+    @given(case=stage_cases(), m=st.integers(1, 4))
+    def test_block_solve_matches_columns(self, variable_system, case, m):
+        # an (s N, m) block is solved column by column
+        M, F = variable_system
+        _, _, C, h_t, mu, rng = case
+        op = StageOperator(C, M, F, h_t, mu)
+        R = rng.standard_normal((op.size, m))
+        for solve in (op.solve, op.solve_transpose):
+            X = solve(R)
+            assert X.shape == R.shape
+            columns = np.column_stack([solve(R[:, j]) for j in range(m)])
+            assert np.linalg.norm(X - columns) <= 1e-13 * np.linalg.norm(columns)
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 2), (2, 9, 2)])
+    def test_solve_rejects_wrong_shape(self, small_system, shape):
+        _, M, F = small_system
+        op = StageOperator(radau_iia(2), M, F, 0.5, 1)
+        with pytest.raises(ValueError):
+            op.solve(np.ones(shape))
+
     def test_nothing_factored_before_first_solve(self, small_system, monkeypatch):
         _, M, F = small_system
         calls = []
