@@ -219,7 +219,9 @@ def run_kappa(config):
 def run_gmres(config):
     """Left-preconditioned GMRES on the first-timestep stage system.
 
-    One row per run; `converged` False marks a run that failed.
+    One row per run; `converged` False marks a run that failed, and
+    `stop_reason` says why the loop ended (converged, max_iter or
+    breakdown).
     rel_error_linear is measured against
     a sparse direct solve of the same system (omitted above the direct
     guard); rel_error_pde is the L2 error of the stepped solution against
@@ -256,6 +258,7 @@ def run_gmres(config):
                 "precond": kind, "subsolve": config.subsolve,
                 "iterations": report.iterations,
                 "converged": report.converged,
+                "stop_reason": report.stop_reason,
                 "time_s": report.wall_time,
                 "rel_residual": report.rel_residual,
                 "true_rel_residual": report.true_rel_residual,

@@ -1,9 +1,15 @@
-"""Left-preconditioned GMRES over stage vectors, without restart."""
+"""Left-preconditioned GMRES over stage vectors, without restart.
+
+The Arnoldi kernel is modified Gram-Schmidt over a list of basis vectors,
+each projection done in place with the BLAS level-1 ddot and daxpy, so the
+loop makes no temporary vector per projection.
+"""
 
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import daxpy, ddot
 
 from .errors import ResourceLimitError
 
@@ -18,6 +24,10 @@ class SolveReport:
     rel_residual is the preconditioned relative residual recomputed from
     the returned iterate; true_rel_residual is the unpreconditioned one.
     residual_history holds the per-iteration preconditioned estimates.
+    stop_reason says why the loop ended: "converged" (the estimate met
+    tol), "max_iter" or "breakdown" (the Krylov space closed or the
+    system is singular; converged then says whether the recomputed
+    residual still met tol).
     """
 
     iterations: int
@@ -25,7 +35,7 @@ class SolveReport:
     rel_residual: float
     true_rel_residual: float
     converged: bool
-    breakdown: bool = False
+    stop_reason: str
     residual_history: list = field(default_factory=list)
 
 
@@ -40,15 +50,18 @@ def _as_apply(obj):
 
 
 def gmres(op, prec, b, tol=1e-8, max_iter=500):
-    """Full GMRES with modified Gram-Schmidt on the left-preconditioned
-    system, zero initial guess.
+    """Full GMRES on the left-preconditioned system, zero initial guess.
+
+    The basis is a list of vectors, orthogonalised by modified
+    Gram-Schmidt with in-place BLAS level-1 projections (ddot, daxpy);
+    the iterate is summed from it with daxpy too.
 
     Convergence is declared when ||P^-1 (b - A x)|| / ||P^-1 b|| <= tol,
     monitored through the Givens recurrence. Exceeding max_iter returns
     the report with converged=False rather than raising. An Arnoldi
     breakdown (closed Krylov space, or a singular system) returns the
-    iterate of the last nonsingular column with breakdown=True, converged
-    only if its recomputed preconditioned residual is <= tol.
+    iterate of the last nonsingular column with stop_reason "breakdown",
+    converged only if its recomputed preconditioned residual is <= tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -63,7 +76,8 @@ def gmres(op, prec, b, tol=1e-8, max_iter=500):
     beta = np.linalg.norm(pb)
     norm_b = np.linalg.norm(b)
     if beta == 0.0:
-        return np.zeros(n), SolveReport(0, time.perf_counter() - t0, 0.0, 0.0, True)
+        return np.zeros(n), SolveReport(0, time.perf_counter() - t0, 0.0, 0.0,
+                                        True, "converged")
 
     V = [pb / beta]
     H = np.zeros((max_iter + 1, max_iter))
@@ -72,15 +86,15 @@ def gmres(op, prec, b, tol=1e-8, max_iter=500):
     g = np.zeros(max_iter + 1)
     g[0] = beta
     history = []
-    converged = False
-    breakdown = False
+    stop_reason = "max_iter"
     k = 0
 
     for j in range(max_iter):
         w = apply_prec(op.apply(V[j]))
         for i in range(j + 1):
-            H[i, j] = V[i] @ w
-            w -= H[i, j] * V[i]
+            H[i, j] = ddot(V[i], w)
+            # daxpy returns a copy when w is not contiguous float64
+            w = daxpy(V[i], w, a=-H[i, j])
         hnext = np.linalg.norm(w)
         H[j + 1, j] = hnext
         col_norm = np.linalg.norm(H[:j + 2, j])  # = ||P^-1 A v_j||, kept by rotations
@@ -92,7 +106,7 @@ def gmres(op, prec, b, tol=1e-8, max_iter=500):
         r = np.hypot(H[j, j], H[j + 1, j])
         if r <= BREAKDOWN_TOL * col_norm:
             # singular system: stop at the last nonsingular column
-            breakdown = True
+            stop_reason = "breakdown"
             break
         cs[j] = H[j, j] / r
         sn[j] = H[j + 1, j] / r
@@ -105,29 +119,31 @@ def gmres(op, prec, b, tol=1e-8, max_iter=500):
         res = abs(g[j + 1]) / beta
         history.append(res)
         if res <= tol:
-            converged = True
+            stop_reason = "converged"
             break
         if hnext <= BREAKDOWN_TOL * col_norm:
-            breakdown = True
+            stop_reason = "breakdown"
             break
         V.append(w / hnext)
 
     y = np.linalg.solve(np.triu(H[:k, :k]), g[:k])
     x = np.zeros(n)
     for i in range(k):
-        x += y[i] * V[i]
+        x = daxpy(V[i], x, a=y[i])
     resid = b - op.apply(x)
     true_res = np.linalg.norm(resid) / norm_b
     prec_res = np.linalg.norm(apply_prec(resid)) / beta
-    if breakdown:
+    if stop_reason == "breakdown":
         converged = bool(prec_res <= tol)
+    else:
+        converged = stop_reason == "converged"
     report = SolveReport(
         iterations=k,
         wall_time=time.perf_counter() - t0,
         rel_residual=prec_res,
         true_rel_residual=true_res,
         converged=converged,
-        breakdown=breakdown,
+        stop_reason=stop_reason,
         residual_history=history,
     )
     return x, report

@@ -25,6 +25,12 @@ def galerkin_levels(M, F, prolongations):
     return levels[::-1]
 
 
+def restrictions(prolongations):
+    """R^T of each prolongation, stored once as CSR (not rebuilt as the
+    CSC view R.T on every use); its mat-vec adds in R.T's order."""
+    return [R.T.tocsr() for R in prolongations]
+
+
 class ExactSubsolver:
     """Sparse direct solver for one diagonal block M + h_t^mu p F."""
 
@@ -41,16 +47,18 @@ class VCycleSubsolver:
     (M_l, F_l) of galerkin_levels, coarse to fine.
 
     Damped Jacobi (omega = 2/3) smoothing, residual restriction by the
-    transpose of the interpolation, exact LU solve on the coarsest level
-    (nnz is that LU's fill).
+    stored transpose of the interpolation (`restrictions`, shared by every
+    subsolver built from the same hierarchy), exact LU solve on the
+    coarsest level (nnz is that LU's fill).
     """
 
-    def __init__(self, levels, prolongations, c):
+    def __init__(self, levels, prolongations, restrictions, c):
         self.S = [Ml + c * Fl for Ml, Fl in levels]
         self.diag = [S.diagonal() for S in self.S]
         if any(np.any(d == 0.0) for d in self.diag):
             raise SubsolveError("zero diagonal entry in multigrid level matrix")
         self.prolongations = prolongations  # [l]: level l -> level l + 1
+        self.restrictions = restrictions    # [l]: prolongations[l].T as CSR
         self.coarse_lu = factor(self.S[0])
         self.nnz = self.coarse_lu.nnz
 
@@ -62,11 +70,11 @@ class VCycleSubsolver:
     def _cycle(self, r, level):
         if level == 0:
             return self.coarse_lu.solve(r)
-        R = self.prolongations[level - 1]
+        R, Rt = self.prolongations[level - 1], self.restrictions[level - 1]
         # the first sweep starts from x = 0, where S x is not needed
         x = self._jacobi(level, SMOOTHER_DAMPING * r / self.diag[level], r,
                          PRE_SWEEPS - 1)
-        x = x + R @ self._cycle(R.T @ (r - self.S[level] @ x), level - 1)
+        x = x + R @ self._cycle(Rt @ (r - self.S[level] @ x), level - 1)
         return self._jacobi(level, x, r, POST_SWEEPS)
 
     def _jacobi(self, level, x, b, sweeps):
@@ -103,8 +111,9 @@ def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
 
     subsolve="exact" factorizes each diagonal block M + h_t^mu p_ii F;
     subsolve="vcycle" gives each distinct diagonal entry one V-cycle
-    subsolver on the Galerkin levels of M and F, computed once per call
-    from the prolongations of `hierarchy` (required in that mode). `coeff`
+    subsolver on the Galerkin levels of M and F and the restrictions,
+    computed once per call from the prolongations of `hierarchy`
+    (required in that mode) and shared by the subsolvers. `coeff`
     is unused; it is accepted so that callers passing it keep working.
     """
     kind = PreconditionerKind(kind)
@@ -123,9 +132,11 @@ def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
         if hierarchy.num_nodes != M.shape[0]:
             raise ValueError("hierarchy finest mesh does not match M")
         levels = galerkin_levels(M, F, hierarchy.prolongations)
+        restrict = restrictions(hierarchy.prolongations)
 
         def make(p):
-            return VCycleSubsolver(levels, hierarchy.prolongations, scale * p)
+            return VCycleSubsolver(levels, hierarchy.prolongations, restrict,
+                                   scale * p)
     else:
         raise ValueError(f"unknown subsolve mode {subsolve!r}")
 

@@ -193,6 +193,7 @@ class TestGmresCommand:
         assert len(rows) == 2
         for row in rows:
             assert row["converged"]
+            assert row["stop_reason"] == "converged"
             assert row["rel_residual"] <= config.tol
             assert row["rel_error_linear"] <= 1e-6
             assert row["iterations"] >= 1
@@ -247,6 +248,7 @@ class TestGmresCommand:
         rows = run_gmres(config)
         assert len(rows) == 1
         assert not rows[0]["converged"]
+        assert rows[0]["stop_reason"] == "max_iter"
         _, code = run(config)
         assert code == 2
 

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from irkprec.assembly import assemble_mass, assemble_stiffness, coefficient_preset
 from irkprec.butcher import nystrom_from, gauss_legendre, radau_iia
 from irkprec.errors import ResourceLimitError
-from irkprec.krylov import gmres, reference_solve
+from irkprec.krylov import BREAKDOWN_TOL, gmres, reference_solve
 from irkprec.mesh import build_hierarchy, build_mesh
 from irkprec.precond import build_preconditioner
 from irkprec.stageop import StageOperator
@@ -27,6 +27,117 @@ def diffusion_system():
     return mesh, M, F, t, op, b
 
 
+def numpy_mgs_gmres(op, prec, b, tol, max_iter):
+    """The numpy modified Gram-Schmidt loop gmres replaced (one temporary
+    per projection), for converged runs: (x, iterations, history)."""
+    apply_prec = prec.apply_inverse
+    pb = apply_prec(b)
+    beta = np.linalg.norm(pb)
+    V = [pb / beta]
+    H = np.zeros((max_iter + 1, max_iter))
+    cs, sn = np.zeros(max_iter), np.zeros(max_iter)
+    g = np.zeros(max_iter + 1)
+    g[0] = beta
+    history = []
+    for j in range(max_iter):
+        w = apply_prec(op.apply(V[j]))
+        for i in range(j + 1):
+            H[i, j] = V[i] @ w
+            w -= H[i, j] * V[i]
+        hnext = np.linalg.norm(w)
+        H[j + 1, j] = hnext
+        for i in range(j):
+            t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
+            H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
+            H[i, j] = t
+        r = np.hypot(H[j, j], H[j + 1, j])
+        cs[j], sn[j] = H[j, j] / r, H[j + 1, j] / r
+        H[j, j], H[j + 1, j] = r, 0.0
+        g[j + 1] = -sn[j] * g[j]
+        g[j] = cs[j] * g[j]
+        history.append(abs(g[j + 1]) / beta)
+        if history[-1] <= tol:
+            break
+        V.append(w / hnext)
+    k = len(history)
+    y = np.linalg.solve(np.triu(H[:k, :k]), g[:k])
+    x = np.zeros_like(b)
+    for i in range(k):
+        x += y[i] * V[i]
+    return x, k, history
+
+
+@pytest.fixture(scope="module")
+def k3_systems():
+    """Diffusion Radau IIA s=2 and wave Gauss-Legendre Nystrom s=3 at k=3."""
+    k = 3
+    mesh = build_mesh(k)
+    M = assemble_mass(mesh)
+    F = assemble_stiffness(mesh, coefficient_preset("constant-diffusion"))
+    rng = np.random.default_rng(41)
+    systems = {}
+    for name, tableau, mu in (("diffusion", radau_iia(2), 1),
+                              ("wave", nystrom_from(gauss_legendre(3)), 2)):
+        op = StageOperator(tableau, M, F, mesh.h, mu)
+        systems[name] = (tableau, mu, op, rng.standard_normal(op.size))
+    return M, F, build_hierarchy(k), systems
+
+
+class TestBlasKernel:
+    @pytest.mark.parametrize("subsolve", ["exact", "vcycle"])
+    @pytest.mark.parametrize("kind", ["J", "LD"])
+    @pytest.mark.parametrize("problem", ["diffusion", "wave"])
+    def test_matches_numpy_mgs(self, k3_systems, problem, kind, subsolve):
+        M, F, hierarchy, systems = k3_systems
+        tableau, mu, op, b = systems[problem]
+        prec = build_preconditioner(tableau, kind, M, F, op.h_t, mu,
+                                    subsolve=subsolve, hierarchy=hierarchy)
+        b_in = b.copy()
+        x, report = gmres(op, prec, b_in, tol=1e-10, max_iter=300)
+        assert np.array_equal(b_in, b)
+        x_ref, k_ref, hist_ref = numpy_mgs_gmres(op, prec, b, 1e-10, 300)
+        assert report.stop_reason == "converged"
+        assert report.iterations == k_ref
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        np.testing.assert_allclose(report.residual_history, hist_ref, rtol=1e-9)
+
+    def test_strided_preconditioner_output(self, k3_systems):
+        # daxpy returns a copy for a non-contiguous w; the loop must use it
+        M, F, _, systems = k3_systems
+        tableau, mu, op, b = systems["wave"]
+        prec = build_preconditioner(tableau, "LD", M, F, op.h_t, mu)
+
+        def strided(v):
+            out = np.zeros((op.size, 2))
+            out[:, 1] = prec.apply_inverse(v)
+            return out[:, 1]
+
+        x, report = gmres(op, prec, b, tol=1e-10)
+        xs, rs = gmres(op, strided, b, tol=1e-10)
+        assert rs.converged
+        assert rs.iterations == report.iterations
+        assert np.array_equal(xs, x)
+
+    def test_float32_preconditioner_output(self, k3_systems):
+        # a float32 w is converted, not projected in single precision
+        M, F, _, systems = k3_systems
+        tableau, mu, op, b = systems["diffusion"]
+        prec = build_preconditioner(tableau, "LD", M, F, op.h_t, mu)
+        x, report = gmres(op, lambda v: prec.apply_inverse(v).astype(np.float32),
+                          b, tol=1e-6)
+        assert report.converged
+        assert x.dtype == np.float64
+        x_ref = reference_solve(op, b)
+        assert np.linalg.norm(x - x_ref) <= 1e-5 * np.linalg.norm(x_ref)
+
+    def test_rhs_not_mutated_without_preconditioner(self, k3_systems):
+        *_, systems = k3_systems
+        _, _, op, b = systems["diffusion"]
+        b_in = b.copy()
+        gmres(op, None, b_in, tol=1e-6, max_iter=50)
+        assert np.array_equal(b_in, b)
+
+
 class TestGmres:
     def test_identity_like_system_one_iteration(self):
         I = sp.identity(30, format="csr")
@@ -42,6 +153,7 @@ class TestGmres:
         x, report = gmres(op, op.solve, b, tol=1e-8)
         assert report.iterations == 1
         assert report.converged
+        assert report.stop_reason == "converged"
 
     def test_residual_monotone_and_converged(self, diffusion_system):
         mesh, M, F, t, op, b = diffusion_system
@@ -69,12 +181,14 @@ class TestGmres:
         *_, op, b = diffusion_system
         x, report = gmres(op, None, b, tol=1e-14, max_iter=3)
         assert not report.converged
+        assert report.stop_reason == "max_iter"
         assert report.iterations == 3
 
     def test_zero_rhs(self, diffusion_system):
         *_, op, _ = diffusion_system
         x, report = gmres(op, None, np.zeros(op.size), tol=1e-8)
         assert report.converged
+        assert report.stop_reason == "converged"
         assert np.array_equal(x, np.zeros(op.size))
 
     def test_breakdown_returns_exact_solution(self):
@@ -97,18 +211,39 @@ class TestGmres:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             x, report = gmres(op, None, np.array([1.0, 1.0]), tol=1e-8)
-        assert report.breakdown
+        assert report.stop_reason == "breakdown"
         assert not report.converged
         assert report.iterations == 1
         assert np.all(np.isfinite(x))
         assert report.true_rel_residual > 1e-8
+
+    def test_breakdown_converged_by_recomputed_residual(self):
+        # A = [[1, 0], [d, 1]] with d below the breakdown threshold: the
+        # Givens estimate d misses tol, but a preconditioner that flushes
+        # entries below 1e-110 to zero leaves a recomputed residual of 0
+        d = 0.1 * BREAKDOWN_TOL
+        A = np.array([[1.0, 0.0], [d, 1.0]])
+
+        class Dense:
+            def apply(self, x):
+                return A @ x
+
+        def flush(v):
+            return np.where(np.abs(v) < 1e-110, 0.0, v)
+
+        x, report = gmres(Dense(), flush, np.array([1e-100, 0.0]), tol=0.1 * d)
+        assert report.stop_reason == "breakdown"
+        assert report.converged
+        assert report.iterations == 1
+        assert report.residual_history[-1] > 0.1 * d
+        assert report.rel_residual == 0.0
 
     def test_breakdown_test_independent_of_rhs_scale(self, diffusion_system):
         # the breakdown threshold scales with the operator, not with b
         *_, op, b = diffusion_system
         _, ref = gmres(op, None, b, tol=1e-8, max_iter=400)
         x, report = gmres(op, None, 1e14 * b, tol=1e-8, max_iter=400)
-        assert not report.breakdown
+        assert report.stop_reason == "converged"
         assert report.converged
         assert report.iterations == ref.iterations
 

@@ -9,7 +9,8 @@ from irkprec.errors import SubsolveError
 from irkprec.krylov import gmres
 from irkprec.mesh import build_hierarchy, build_mesh
 from irkprec.precond import (POST_SWEEPS, PRE_SWEEPS, SMOOTHER_DAMPING,
-                             VCycleSubsolver, build_preconditioner, galerkin_levels)
+                             VCycleSubsolver, build_preconditioner, galerkin_levels,
+                             restrictions)
 from irkprec.stageop import StageOperator
 
 ALL_KINDS = ("J", "GSL", "TRIU", "LD", "DU")
@@ -110,7 +111,8 @@ class TestVCycle:
         coeff = coefficient_preset(preset)
         levels = galerkin_levels(assemble_mass(mesh), assemble_stiffness(mesh, coeff),
                                  hierarchy.prolongations)
-        return VCycleSubsolver(levels, hierarchy.prolongations, tau)
+        return VCycleSubsolver(levels, hierarchy.prolongations,
+                               restrictions(hierarchy.prolongations), tau)
 
     def test_zero_input(self):
         sub = self.make_vcycle(3, 0.1)
@@ -188,6 +190,23 @@ class TestVCycle:
         r = np.random.default_rng(k).standard_normal(sub.S[-1].shape[0])
         assert np.array_equal(sub.solve(r), cycle(r, k - 1))
 
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_stored_restrictions_match_transpose(self, k):
+        # the CSR restriction adds in the order of the CSC view R.T
+        sub = self.make_vcycle(k, 0.1, "variable")
+
+        def cycle(r, level):
+            if level == 0:
+                return sub.coarse_lu.solve(r)
+            R = sub.prolongations[level - 1]
+            x = sub._jacobi(level, SMOOTHER_DAMPING * r / sub.diag[level], r,
+                            PRE_SWEEPS - 1)
+            x = x + R @ cycle(R.T @ (r - sub.S[level] @ x), level - 1)
+            return sub._jacobi(level, x, r, POST_SWEEPS)
+
+        r = np.random.default_rng(k).standard_normal(sub.S[-1].shape[0])
+        assert np.array_equal(sub.solve(r), cycle(r, k - 1))
+
 
 class TestVCycleSubsolves:
     @pytest.mark.parametrize("kind", ("GSL", "LD", "DU"))
@@ -225,6 +244,19 @@ class TestVCycleSubsolves:
             assert prec.factor_nnz == 0
             prec.apply_inverse(np.ones(prec.size))
             assert prec.factor_nnz == prec.subsolvers[0].nnz > 0
+
+    def test_subsolvers_share_restrictions(self):
+        # LD of Radau IIA s=3 has three distinct diagonal entries
+        k = 3
+        mesh = build_mesh(k)
+        M = assemble_mass(mesh)
+        F = assemble_stiffness(mesh, coefficient_preset("variable"))
+        prec = build_preconditioner(radau_iia(3), "LD", M, F, 0.3, 1,
+                                    subsolve="vcycle", hierarchy=build_hierarchy(k))
+        first, *rest = prec.subsolvers
+        assert len({id(sub) for sub in prec.subsolvers}) == 3
+        assert all(sub.restrictions is first.restrictions for sub in rest)
+        assert len(first.restrictions) == k - 1
 
     def test_vcycle_refuses_block_input(self):
         # a V-cycle smooths one vector; a block of them would broadcast
