@@ -22,6 +22,7 @@ import scipy.sparse.linalg as spla
 from .stageop import StageOperator
 
 FOV_EIGH_CUTOFF = 600  # full eigh below, Lanczos above
+FOV_LANCZOS_TOL = 1e-6
 
 
 @dataclass
@@ -122,34 +123,30 @@ def spectrum(op, prec=None, label=""):
 
 
 def _top_eigvec(H, v0=None):
-    """Top eigenvector of a Hermitian matrix, warm-startable.
-
-    Rayleigh quotients are second-order accurate in the eigenvector error,
-    so a loose LOBPCG tolerance is plenty for boundary points."""
+    """Top eigenvector of the Hermitian operator H by ARPACK to relative
+    residual FOV_LANCZOS_TOL, warm-started from v0 (adjacent angles have
+    nearby top eigenvectors) or from a seeded vector. The support value, a Rayleigh quotient, is
+    then accurate to about FOV_LANCZOS_TOL |lambda_max| or better."""
     n = H.shape[0]
-    rng = np.random.default_rng(12345)
-    X = np.empty((n, 2), dtype=complex)
-    X[:, 0] = rng.standard_normal(n) if v0 is None else v0
-    X[:, 1] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    try:
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            w, V = spla.lobpcg(H, X, largest=True, tol=1e-4 * np.abs(H).max(),
-                               maxiter=25)
-        order = np.argsort(w)
-        return V[:, order[-1]]
-    except Exception:
-        _, V = spla.eigsh(H, k=1, which="LA", tol=1e-5, ncv=min(n, 40),
-                          maxiter=300)
-        return V[:, 0]
+    if v0 is None:  # ARPACK's own start vector depends on its earlier calls
+        v0 = np.random.default_rng(12345).standard_normal(n)
+    _, V = spla.eigsh(H, k=1, which="LA", tol=FOV_LANCZOS_TOL, v0=v0,
+                      ncv=min(n, 40), maxiter=1000)
+    return V[:, 0]
 
 
 def field_of_values(matrix, n_angles=128):
-    """Boundary of the numerical range {v* B v : ||v|| = 1}.
+    """Boundary of the numerical range W = {v* B v : ||v|| = 1}.
 
-    For each angle, the top eigenvector of the Hermitian part of
-    e^(i theta) B gives a supporting point of the convex boundary.
+    For each angle theta, the top eigenvector v of the Hermitian part
+    H(theta) = cos(theta) Hr + i sin(theta) S of e^(i theta) B (Hr and S
+    the Hermitian and skew-Hermitian parts of B, built once) gives the
+    supporting point p = v* B v of the convex boundary, and the support
+    value Re(e^(i theta) p) = lambda_max(H(theta)). Above FOV_EIGH_CUTOFF,
+    Lanczos (_top_eigvec) applies H(theta) as an operator, so no n x n
+    matrix is formed per angle. The distance from the origin to W is
+    max(0, -min over theta of the support value): 0 when W contains the
+    origin.
     """
     if n_angles < 8:
         raise ValueError("n_angles must be >= 8")
@@ -159,21 +156,26 @@ def field_of_values(matrix, n_angles=128):
         z = complex(B[0, 0])
         return FovResult(boundary_points=np.array([z] * n_angles),
                          min_distance_to_origin=abs(z))
+    Bh = B.conj().T
+    Hr, S = B + Bh, B - Bh
+    Hr *= 0.5
+    S *= 0.5
+    thetas = 2.0 * np.pi * np.arange(n_angles) / n_angles
     points = np.empty(n_angles, dtype=complex)
-    v0 = None
-    for k in range(n_angles):
-        theta = 2.0 * np.pi * k / n_angles
-        R = np.exp(1j * theta) * B
-        H = 0.5 * (R + R.conj().T)
+    v = None
+    for k, theta in enumerate(thetas):
+        c, s = np.cos(theta), 1j * np.sin(theta)
         if n <= FOV_EIGH_CUTOFF:
-            w, V = np.linalg.eigh(H)
-            v = V[:, -1]
+            v = np.linalg.eigh(c * Hr + s * S)[1][:, -1]
         else:
-            v = _top_eigvec(H, v0)
-            v0 = v  # adjacent angles have nearby top eigenvectors
+            def H(X, c=c, s=s):
+                return c * (Hr @ X) + s * (S @ X)
+            op = spla.LinearOperator((n, n), matvec=H, matmat=H, dtype=complex)
+            v = _top_eigvec(op, v)
         points[k] = v.conj() @ (B @ v)
+    support = (np.exp(1j * thetas) * points).real
     return FovResult(boundary_points=points,
-                     min_distance_to_origin=float(np.abs(points).min()))
+                     min_distance_to_origin=max(0.0, float(-support.min())))
 
 
 def butcher_kappa(P, A):

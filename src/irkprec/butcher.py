@@ -242,8 +242,3 @@ def butcher_preconditioner_matrix(t, kind):
         return factors.L @ factors.D
     return factors.D @ factors.U
 
-
-def is_lower_kind(kind):
-    """Whether the preconditioner matrix is lower triangular (J counts)."""
-    kind = PreconditionerKind(kind)
-    return kind in (PreconditionerKind.J, PreconditionerKind.GSL, PreconditionerKind.LD)

@@ -1,13 +1,14 @@
-"""Block preconditioners I (x) M + h_t^mu P (x) F applied by stage-wise
-forward or backward substitution (StageOperator's solve) with exact or
-multigrid diagonal subsolves. The multigrid levels are the Galerkin
-coarsenings R^T X R of M and F, so only M, F and the prolongations R of a
-mesh hierarchy are needed.
+"""Block preconditioners I (x) M + h_t^mu P (x) F of a triangular P: the
+stage operator of P (StageOperator), whose solve substitutes forward or
+backward over the stages. StageOperator decides how each distinct diagonal
+block M + h_t^mu p_ii F is solved, by its block solver: the exact LU by
+default, or one V-cycle on the Galerkin coarsenings R^T X R of M and F,
+which need only M, F and the prolongations R of a mesh hierarchy.
 """
 
 import numpy as np
 
-from .butcher import PreconditionerKind, butcher_preconditioner_matrix, is_lower_kind
+from .butcher import PreconditionerKind, butcher_preconditioner_matrix
 from .errors import SubsolveError
 from .stageop import StageOperator, factor
 
@@ -29,17 +30,6 @@ def restrictions(prolongations):
     """R^T of each prolongation, stored once as CSR (not rebuilt as the
     CSC view R.T on every use); its mat-vec adds in R.T's order."""
     return [R.T.tocsr() for R in prolongations]
-
-
-class ExactSubsolver:
-    """Sparse direct solver for one diagonal block M + h_t^mu p F."""
-
-    def __init__(self, S):
-        self.lu = factor(S)
-        self.nnz = self.lu.nnz
-
-    def solve(self, r):
-        return self.lu.solve(r)
 
 
 class VCycleSubsolver:
@@ -86,20 +76,21 @@ class VCycleSubsolver:
 
 class BlockPreconditioner(StageOperator):
     """Ready-to-apply block preconditioner: the stage operator of its
-    triangular P, solved by stage-wise substitution (forward for the lower
-    kinds, backward for the upper ones) with the given per-stage
-    subsolvers of the diagonal blocks, exact or V-cycle.
+    triangular P, factored on construction (so its build time includes
+    the LUs or V-cycle set-ups). It differs from the system operator only
+    in its block solver, exact LU (the default) or a V-cycle factory.
     """
 
-    def __init__(self, kind, P, M, F, h_t, mu, subsolvers):
-        super().__init__(P, M, F, h_t, mu)
-        self.kind = kind
-        self.P = P
-        self.subsolvers = subsolvers    # one per stage
+    def __init__(self, P, M, F, h_t, mu, block_solver=None):
+        super().__init__(P, M, F, h_t, mu, block_solver)
+        self.P = self.coupling
+        self._factors = self._factor()
 
-    def _factor(self):
-        blocks = [(i, i + 1, sub) for i, sub in enumerate(self.subsolvers)]
-        return None, self.P, is_lower_kind(self.kind), blocks
+    @property
+    def subsolvers(self):
+        """The solver of each stage's diagonal block, one object per
+        distinct diagonal value."""
+        return [solver for *_, solver in self._factors[3]]
 
     apply_inverse = StageOperator.solve
     apply_inverse_transpose = StageOperator.solve_transpose  # substitution with P^T
@@ -109,8 +100,8 @@ def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
                          hierarchy=None, coeff=None):
     """Build one of the five block preconditioners for the stage system.
 
-    subsolve="exact" factorizes each diagonal block M + h_t^mu p_ii F;
-    subsolve="vcycle" gives each distinct diagonal entry one V-cycle
+    subsolve="exact" factorizes each distinct diagonal block
+    M + h_t^mu p_ii F; subsolve="vcycle" gives each one a V-cycle
     subsolver on the Galerkin levels of M and F and the restrictions,
     computed once per call from the prolongations of `hierarchy`
     (required in that mode) and shared by the subsolvers. `coeff`
@@ -118,28 +109,20 @@ def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
     """
     kind = PreconditionerKind(kind)
     P = butcher_preconditioner_matrix(tableau, kind)
-    diag = np.diag(P)
-    if np.any(diag == 0.0):
+    if np.any(np.diag(P) == 0.0):
         raise SubsolveError(f"preconditioner {kind.value} has a zero diagonal entry")
-    scale = h_t ** mu
-
     if subsolve == "exact":
-        def make(p):
-            return ExactSubsolver(M + scale * p * F)
-    elif subsolve == "vcycle":
-        if hierarchy is None:
-            raise ValueError("vcycle subsolves need a hierarchy")
-        if hierarchy.num_nodes != M.shape[0]:
-            raise ValueError("hierarchy finest mesh does not match M")
-        levels = galerkin_levels(M, F, hierarchy.prolongations)
-        restrict = restrictions(hierarchy.prolongations)
-
-        def make(p):
-            return VCycleSubsolver(levels, hierarchy.prolongations, restrict,
-                                   scale * p)
-    else:
+        return BlockPreconditioner(P, M, F, h_t, mu)
+    if subsolve != "vcycle":
         raise ValueError(f"unknown subsolve mode {subsolve!r}")
+    if hierarchy is None:
+        raise ValueError("vcycle subsolves need a hierarchy")
+    if hierarchy.num_nodes != M.shape[0]:
+        raise ValueError("hierarchy finest mesh does not match M")
+    levels = galerkin_levels(M, F, hierarchy.prolongations)
+    restrict = restrictions(hierarchy.prolongations)
 
-    cache = {p: make(p) for p in dict.fromkeys(diag)}
-    subsolvers = [cache[p] for p in diag]
-    return BlockPreconditioner(kind, P, M, F, h_t, mu, subsolvers)
+    def vcycle(M, F, c):
+        return VCycleSubsolver(levels, hierarchy.prolongations, restrict, c)
+
+    return BlockPreconditioner(P, M, F, h_t, mu, vcycle)

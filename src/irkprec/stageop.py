@@ -1,11 +1,16 @@
 """Matrix-free stage operator I (x) M + h_t^mu C (x) F over stage vectors,
-and its exact solve.
+and its stage-wise solve.
 
 The coupling matrix C is the Butcher matrix A of the timestepper for
-the system operator, or a preconditioner matrix P for the corresponding
-block preconditioner. Stage vectors are stored stage-major: x[i*N:(i+1)*N]
-is the i-th stage block. The solve substitutes over stages with N x N
-LUs: directly for a triangular C, else in the real Schur basis of C.
+the system operator, or a triangular preconditioner matrix P for the
+corresponding block preconditioner. Stage vectors are stored stage-major:
+x[i*N:(i+1)*N] is the i-th stage block. The solve substitutes over stages:
+forward for a lower triangular C, backward for an upper one, else in the
+real Schur basis of C. Each diagonal block M + c F of the substitution,
+c = h_t^mu a for a diagonal value a (complex for a 2 x 2 Schur block), is
+solved by block_solver(M, F, c), called once per distinct a. The default
+block solver, lu_block, is its exact LU; a block preconditioner may pass
+an approximate one (precond's V-cycle).
 
 Every LU of a block M + c F (c real or complex) is made by factor(): a
 minimum-degree ordering of the pattern of S^T + S, with SuperLU's
@@ -33,23 +38,30 @@ def factor(S):
                 options={"SymmetricMode": True})
 
 
+def lu_block(M, F, c):
+    """The default block solver: the exact LU of M + c F."""
+    return factor(M + c * F)
+
+
 class StageOperator:
     """Applies y_i = M x_i + h_t^mu sum_j c_ij F x_j without assembling
-    the full s N x s N matrix, and solves with it exactly.
+    the full s N x s N matrix, and solves with it by substitution over the
+    stages, each diagonal block by block_solver(M, F, c) (default lu_block,
+    an exact solve).
 
     The counters n_mass_matvecs / n_stiffness_matvecs track work done by
     apply() and apply_transpose(); each call adds s to both (the s
     stiffness products are computed once and reused across stages).
     """
 
-    def __init__(self, coupling, M, F, h_t, mu):
+    def __init__(self, coupling, M, F, h_t, mu, block_solver=None):
         if isinstance(coupling, ButcherTableau):
             coupling = coupling.A
         coupling = np.asarray(coupling, dtype=float)
         if coupling.ndim != 2 or coupling.shape[0] != coupling.shape[1]:
             raise ValueError("coupling must be a square matrix or tableau")
-        if h_t <= 0:
-            raise ValueError("h_t must be positive")
+        if not 0 < h_t < np.inf:  # also refuses nan
+            raise ValueError("h_t must be positive and finite")
         if mu not in (1, 2):
             raise ValueError("mu must be 1 or 2")
         if M.shape != F.shape or M.shape[0] != M.shape[1]:
@@ -63,6 +75,9 @@ class StageOperator:
         self.N = M.shape[0]
         self.n_mass_matvecs = 0
         self.n_stiffness_matvecs = 0
+        # module-level default: a closure over self would keep the LUs
+        # alive in a reference cycle until the cyclic GC runs
+        self.block_solver = lu_block if block_solver is None else block_solver
         self._factors = None  # built by the first solve
 
     @property
@@ -73,7 +88,7 @@ class StageOperator:
     def factor_nnz(self):
         """Stored L + U nonzeros of the distinct block solvers behind
         solve() (SuperLU's count, no copy of the factors); 0 before the
-        first solve."""
+        operator is factored, by its first solve."""
         if self._factors is None:
             return 0
         solvers = {id(solver): solver for *_, solver in self._factors[3]}
@@ -157,8 +172,8 @@ class StageOperator:
 
     def _factor(self):
         """(Q, T, lower, blocks) for _solve(): C = Q T Q^T in real Schur form,
-        or Q = None and T = C for a triangular C; one LU per distinct
-        diagonal block."""
+        or Q = None and T = C for a triangular C; one block solver per
+        distinct diagonal block."""
         C = self.coupling
         lower = np.array_equal(C, np.tril(C))
         Q, T = None, C
@@ -166,7 +181,7 @@ class StageOperator:
             T, Q = schur(C, output="real")
         edges = [i for i in range(self.s)
                  if Q is None or i == 0 or T[i, i - 1] == 0.0] + [self.s]
-        lus, blocks = {}, []
+        solvers, blocks = {}, []
         for lo, hi in zip(edges, edges[1:]):
             a = T[lo, lo]
             if hi - lo == 2:
@@ -174,9 +189,9 @@ class StageOperator:
                 if T[lo + 1, lo + 1] != a or bc >= 0.0:
                     raise FactorizationError(lo, f"Schur block at {lo} is not standardized")
                 a = a + 1j * np.sqrt(-bc)
-            if a not in lus:
-                lus[a] = factor(self.M + self.h_t ** self.mu * a * self.F)
-            blocks.append((lo, hi, lus[a]))
+            if a not in solvers:
+                solvers[a] = self.block_solver(self.M, self.F, self.h_t ** self.mu * a)
+            blocks.append((lo, hi, solvers[a]))
         return Q, T, lower, blocks
 
     def materialize(self):

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from irkprec.analysis import (butcher_kappa, condition_number,
-                              condition_number_iterative, field_of_values,
-                              preconditioned_dense, spectrum)
+from irkprec.analysis import (FOV_EIGH_CUTOFF, FOV_LANCZOS_TOL, butcher_kappa,
+                              condition_number, condition_number_iterative,
+                              field_of_values, preconditioned_dense, spectrum)
 from irkprec.assembly import assemble_mass, assemble_stiffness, coefficient_preset
 from irkprec.butcher import (butcher_preconditioner_matrix, gauss_legendre,
                              nystrom_from, radau_iia)
+from irkprec.driver import method_tableau, mms_problem, timestep_rule
 from irkprec.errors import ResourceLimitError
 from irkprec.mesh import build_mesh
 from irkprec.precond import build_preconditioner
@@ -211,6 +214,55 @@ class TestFieldOfValues:
     def test_min_angles(self):
         with pytest.raises(ValueError):
             field_of_values(np.eye(3), n_angles=4)
+
+    @pytest.mark.parametrize("B", [[[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+    def test_origin_inside_reads_zero(self, B):
+        # the disk |z| <= 1/2 and the segment [-1, 1] both contain 0; the
+        # nearest boundary points lie at 0.5 and 1.0
+        fov = field_of_values(np.array(B), n_angles=64)
+        assert fov.min_distance_to_origin == 0.0
+        assert np.abs(fov.boundary_points).min() >= 0.5 - 1e-12
+
+    @pytest.mark.parametrize("kind,inside", [("J", True), ("LD", False)])
+    def test_distance_of_cli_rows(self, kind, inside):
+        # diffusion, Radau IIA s=2, k=1, as the fov command builds it: the
+        # FOV of P_J^-1 A_h contains 0, that of P_LD^-1 A_h does not, and
+        # there the distance is the nearest sampled boundary point's
+        mesh = build_mesh(1)
+        problem = mms_problem("diffusion", "constant-diffusion")
+        t = method_tableau("diffusion", 2)
+        op = StageOperator(t, assemble_mass(mesh), assemble_stiffness(mesh, problem.coeff),
+                           timestep_rule(mesh.h, 2, t.kind), problem.mu)
+        B = preconditioned_dense(op, butcher_preconditioner_matrix(t, kind))
+        fov = field_of_values(B, n_angles=64)
+        nearest = np.abs(fov.boundary_points).min()
+        assert nearest > 0.3
+        if inside:
+            assert fov.min_distance_to_origin == 0.0
+        else:
+            assert abs(fov.min_distance_to_origin - nearest) <= 1e-12 * nearest
+
+    def test_lanczos_route_matches_eigh(self):
+        # above the cutoff H(theta) is an operator: the support values match
+        # eigh's to the route's tolerance, and the temporaries stay a small
+        # multiple of B (Hermitian and skew parts, no n x n matrix per angle)
+        n = FOV_EIGH_CUTOFF + 50
+        rng = np.random.default_rng(8)
+        B = np.eye(n) + 0.4 * rng.standard_normal((n, n)) / np.sqrt(n)
+        tracemalloc.start()
+        try:
+            fov = field_of_values(B, n_angles=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * B.nbytes
+        for k, p in enumerate(fov.boundary_points):
+            rot = np.exp(2j * np.pi * k / 8)
+            top = np.linalg.eigvalsh(0.5 * (rot * B + (rot * B).conj().T))[-1]
+            assert abs((rot * p).real - top) <= FOV_LANCZOS_TOL * abs(top)
+        # seeded start: ARPACK's own start vector would differ call to call
+        again = field_of_values(B, n_angles=8)
+        assert np.array_equal(again.boundary_points, fov.boundary_points)
 
 
 class TestButcherKappa:

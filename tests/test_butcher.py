@@ -3,8 +3,8 @@ import pytest
 
 from irkprec.butcher import (ButcherTableau, PreconditionerKind, TableauKind,
                              butcher_preconditioner_matrix, gauss_legendre,
-                             is_lower_kind, ldu, nystrom_from, radau_iia,
-                             tableau_from_json, weakly_positive_definite)
+                             ldu, nystrom_from, radau_iia, tableau_from_json,
+                             weakly_positive_definite)
 from irkprec.errors import FactorizationError
 
 
@@ -225,10 +225,10 @@ class TestPreconditionerMatrices:
         for kind in PreconditionerKind:
             P = butcher_preconditioner_matrix(t, kind)
             assert weakly_positive_definite(P)
-            if is_lower_kind(kind):
-                assert np.allclose(P, np.tril(P))
-            else:
+            if kind in (PreconditionerKind.TRIU, PreconditionerKind.DU):
                 assert np.allclose(P, np.triu(P))
+            else:
+                assert np.allclose(P, np.tril(P))
 
     @pytest.mark.parametrize("s", [2, 3, 4, 5])
     def test_nystrom_preconditioners_wpd(self, s):

@@ -1,0 +1,80 @@
+"""Golden CLI rows: `gmres` (exact and V-cycle subsolves), `kappa` (dense
+and iterative routes) and `mms` on tiny grids of the four problems,
+compared with the recorded rows by exact equality, `time_s` dropped.
+
+A change that means to move digits re-records the file and names the
+fields it moved:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+
+from irkprec.cli import ExperimentConfig, run
+
+GOLDEN = Path(__file__).parent / "data" / "golden_rows.json"
+PROBLEMS = {"diffusion": "constant-diffusion", "pennes": "variable",
+            "wave": "constant-diffusion", "klein-gordon": "variable"}
+DROPPED = ("time_s",)
+
+
+def grid():
+    """{name: config} of every recorded run."""
+    configs = {}
+    for problem, coeff in PROBLEMS.items():
+        base = dict(problem=problem, coeff=coeff, stages=(2, 3), mesh_k=(1, 2))
+        for subsolve in ("exact", "vcycle"):
+            configs[f"gmres-{subsolve}-{problem}"] = ExperimentConfig(
+                command="gmres", subsolve=subsolve, **base)
+        for route in ("dense", "iterative"):
+            configs[f"kappa-{route}-{problem}"] = ExperimentConfig(
+                command="kappa", kappa_method=route, **base)
+        configs[f"mms-{problem}"] = ExperimentConfig(command="mms", **base)
+    return configs
+
+
+def rows_of(config):
+    rows, _ = run(config)
+    # a JSON round trip gives the recorded types (tuples become lists)
+    return json.loads(json.dumps([{k: v for k, v in row.items() if k not in DROPPED}
+                                  for row in rows]))
+
+
+def record():
+    GOLDEN.parent.mkdir(exist_ok=True)
+    entries = []
+    for name, config in grid().items():
+        rows = ",\n  ".join(json.dumps(row) for row in rows_of(config))
+        entries.append(f"{json.dumps(name)}: {{\"config\": "
+                       f"{json.dumps(asdict(config))},\n \"rows\": [\n  {rows}]}}")
+    GOLDEN.write_text("{" + ",\n".join(entries) + "}\n")  # one row a line
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_grid_matches_recording(golden):
+    assert sorted(golden) == sorted(grid())
+    for name, config in grid().items():
+        assert golden[name]["config"] == json.loads(json.dumps(asdict(config))), name
+
+
+@pytest.mark.parametrize("name", sorted(grid()))
+def test_rows_bit_identical(golden, name):
+    expected = golden[name]["rows"]
+    got = rows_of(grid()[name])
+    assert len(got) == len(expected)
+    moved = [(i, k, expected[i].get(k), row.get(k))
+             for i, row in enumerate(got) for k in set(row) | set(expected[i])
+             if row.get(k) != expected[i].get(k)]
+    assert not moved, moved[:10]
+
+
+if __name__ == "__main__":
+    record()

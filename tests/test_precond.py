@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from irkprec.assembly import (assemble_mass, assemble_stiffness, coefficient_preset,
                               read_matrix_market, write_matrix_market)
@@ -9,8 +10,8 @@ from irkprec.errors import SubsolveError
 from irkprec.krylov import gmres
 from irkprec.mesh import build_hierarchy, build_mesh
 from irkprec.precond import (POST_SWEEPS, PRE_SWEEPS, SMOOTHER_DAMPING,
-                             VCycleSubsolver, build_preconditioner, galerkin_levels,
-                             restrictions)
+                             BlockPreconditioner, VCycleSubsolver, build_preconditioner,
+                             galerkin_levels, restrictions)
 from irkprec.stageop import StageOperator
 
 ALL_KINDS = ("J", "GSL", "TRIU", "LD", "DU")
@@ -241,8 +242,6 @@ class TestVCycleSubsolves:
             prec = build_preconditioner(nystrom_from(gauss_legendre(2)), "J", M, F,
                                         0.3, 2, subsolve=subsolve, hierarchy=hierarchy)
             assert prec.subsolvers[0] is prec.subsolvers[1]
-            assert prec.factor_nnz == 0
-            prec.apply_inverse(np.ones(prec.size))
             assert prec.factor_nnz == prec.subsolvers[0].nnz > 0
 
     def test_subsolvers_share_restrictions(self):
@@ -307,3 +306,53 @@ class TestVCycleSubsolves:
         r = np.random.default_rng(10).standard_normal(prec.size)
         z_exact = exact.apply_inverse(r)
         assert np.linalg.norm(prec.apply_inverse(r) - z_exact) < 0.5 * np.linalg.norm(z_exact)
+
+
+@st.composite
+def triangular_cases(draw):
+    """(P, lower, h_t, mu, k, rng): a random lower or upper triangular P,
+    s = 1..5, whose diagonal repeats values from a pool of three."""
+    s = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.floats(0.1, 2.0), min_size=3, max_size=3, unique=True))
+    diag = draw(st.lists(st.sampled_from(pool), min_size=s, max_size=s))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    lower = draw(st.booleans())
+    P = np.tril(rng.uniform(-1.0, 1.0, (s, s)), -1) + np.diag(diag)
+    return (P if lower else P.T.copy(), lower, draw(st.floats(1e-2, 1.0)),
+            draw(st.sampled_from((1, 2))), draw(st.integers(1, 2)), rng)
+
+
+class TestOneBlockSolvePath:
+    """Exact and V-cycle preconditioners share StageOperator's substitution
+    and its one-solver-per-distinct-diagonal-value rule."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(case=triangular_cases())
+    def test_block_solvers(self, case):
+        P, lower, h_t, mu, k, rng = case
+        mesh = build_mesh(k)
+        M = assemble_mass(mesh)
+        F = assemble_stiffness(mesh, coefficient_preset("variable"))
+        kind = "GSL" if lower else "TRIU"  # P is its own tril / triu
+        exact = build_preconditioner(P, kind, M, F, h_t, mu, subsolve="exact")
+        mg = build_preconditioner(P, kind, M, F, h_t, mu, subsolve="vcycle",
+                                  hierarchy=build_hierarchy(k))
+        assert isinstance(exact, BlockPreconditioner)
+        assert np.array_equal(exact.P, P)
+        dense = StageOperator(P, M, F, h_t, mu).materialize()
+        r = rng.standard_normal(exact.size)
+        for solve, D in ((exact.solve, dense), (exact.solve_transpose, dense.T)):
+            x = np.linalg.solve(D, r)
+            assert np.linalg.norm(solve(r) - x) <= 1e-10 * np.linalg.norm(x)
+        diag = np.diag(P)
+        for prec in (exact, mg):
+            subs = prec.subsolvers
+            assert len(subs) == len(diag)
+            assert len({id(sub) for sub in subs}) == len(set(diag))
+            for i in range(len(diag)):
+                for j in range(len(diag)):
+                    assert (subs[i] is subs[j]) == (diag[i] == diag[j])
+            distinct = {id(sub): sub for sub in subs}.values()
+            assert prec.factor_nnz == sum(sub.nnz for sub in distinct)
+        first, *rest = mg.subsolvers
+        assert all(sub.restrictions is first.restrictions for sub in rest)

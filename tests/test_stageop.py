@@ -79,6 +79,13 @@ class TestApply:
         with pytest.raises(ValueError):
             op.apply_transpose(np.zeros(op.size + 1))
 
+    @pytest.mark.parametrize("h_t", [0.0, -0.5, np.nan, np.inf])
+    def test_rejects_bad_timestep(self, small_system, h_t):
+        # nan and inf passed "h_t <= 0" and gave all-nan or all-inf applies
+        _, M, F = small_system
+        with pytest.raises(ValueError):
+            StageOperator(radau_iia(2), M, F, h_t, 1)
+
     def test_matvec_counters(self, small_system):
         _, M, F = small_system
         op = StageOperator(radau_iia(3), M, F, 0.5, 1)
