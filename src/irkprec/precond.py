@@ -4,13 +4,28 @@ backward over the stages. StageOperator decides how each distinct diagonal
 block M + h_t^mu p_ii F is solved, by its block solver: the exact LU by
 default, or one V-cycle on the Galerkin coarsenings R^T X R of M and F,
 which need only M, F and the prolongations R of a mesh hierarchy.
+
+Stage vectors are stage-major, as in stageop: the preconditioner's
+apply_inverse takes and returns x[i*N:(i+1)*N] as the i-th stage block,
+and each subsolve works on one such N-vector.
+
+A V-cycle subsolver owns its work vectors: made once, on construction,
+with the dtype of its level matrices (real, or complex for a complex
+shift c), and overwritten by every cycle. The Jacobi sweeps, residuals,
+restrictions and prolongations run in place in them through
+stageop.spmv and in-place ufuncs, each the operation of the plain form
+x + omega (b - S x) / d in the same order, so the results are bit for
+bit that form's; as in stageop, no sum may be reordered, no sweep fused
+and no omega/d precomputed. The array a solve returns is fresh, never a
+work vector, so a later solve does not overwrite it. One subsolver must
+not be called re-entrantly, nor from two threads at once.
 """
 
 import numpy as np
 
 from .butcher import PreconditionerKind, butcher_preconditioner_matrix
 from .errors import SubsolveError
-from .stageop import StageOperator, factor
+from .stageop import StageOperator, factor, spmv
 
 SMOOTHER_DAMPING = 2.0 / 3.0
 PRE_SWEEPS = 2
@@ -51,26 +66,46 @@ class VCycleSubsolver:
         self.restrictions = restrictions    # [l]: prolongations[l].T as CSR
         self.coarse_lu = factor(self.S[0])
         self.nnz = self.coarse_lu.nnz
+        top = len(self.S) - 1
+        # per level the sweep temporary t, the restricted residual b and
+        # the iterate x; the finest level has only t, as its right-hand
+        # side is the argument of solve and its iterate the result
+        self._work = [tuple(np.empty(S.shape[0], S.dtype)
+                            for _ in range(1 if level == top else 3))
+                      for level, S in enumerate(self.S)]
 
     def solve(self, r):
         if np.ndim(r) != 1:
             raise ValueError("a V-cycle subsolve takes one vector, not a block")
-        return self._cycle(r, len(self.S) - 1)
-
-    def _cycle(self, r, level):
-        if level == 0:
+        top = len(self.S) - 1
+        if top == 0:
             return self.coarse_lu.solve(r)
-        R, Rt = self.prolongations[level - 1], self.restrictions[level - 1]
+        x = np.empty(r.shape, self.S[top].dtype)
+        return self._cycle(r, x, top)
+
+    def _cycle(self, r, x, level):
+        """One V-cycle on S_level x = r, level >= 1, written into x."""
+        t, (_, b, x_coarse) = self._work[level][0], self._work[level - 1]
         # the first sweep starts from x = 0, where S x is not needed
-        x = self._jacobi(level, SMOOTHER_DAMPING * r / self.diag[level], r,
-                         PRE_SWEEPS - 1)
-        x = x + R @ self._cycle(Rt @ (r - self.S[level] @ x), level - 1)
+        np.multiply(SMOOTHER_DAMPING, r, out=x)
+        x /= self.diag[level]
+        self._jacobi(level, x, r, PRE_SWEEPS - 1)
+        np.subtract(r, spmv(self.S[level], x, t), out=t)
+        spmv(self.restrictions[level - 1], t, b)
+        e = self.coarse_lu.solve(b) if level == 1 else self._cycle(b, x_coarse, level - 1)
+        x += spmv(self.prolongations[level - 1], e, t)
         return self._jacobi(level, x, r, POST_SWEEPS)
 
     def _jacobi(self, level, x, b, sweeps):
+        """Damped Jacobi sweeps x + omega (b - S x) / d, in place on x."""
         S, d = self.S[level], self.diag[level]
+        t = self._work[level][0]
         for _ in range(sweeps):
-            x = x + SMOOTHER_DAMPING * (b - S @ x) / d
+            spmv(S, x, t)
+            np.subtract(b, t, out=t)
+            t *= SMOOTHER_DAMPING
+            t /= d
+            x += t
         return x
 
 

@@ -4,13 +4,25 @@ and its stage-wise solve.
 The coupling matrix C is the Butcher matrix A of the timestepper for
 the system operator, or a triangular preconditioner matrix P for the
 corresponding block preconditioner. Stage vectors are stored stage-major:
-x[i*N:(i+1)*N] is the i-th stage block. The solve substitutes over stages:
-forward for a lower triangular C, backward for an upper one, else in the
-real Schur basis of C. Each diagonal block M + c F of the substitution,
-c = h_t^mu a for a diagonal value a (complex for a 2 x 2 Schur block), is
-solved by block_solver(M, F, c), called once per distinct a. The default
-block solver, lu_block, is its exact LU; a block preconditioner may pass
-an approximate one (precond's V-cycle).
+x[i*N:(i+1)*N] is the i-th stage block, and apply() works on that layout
+as it is, the C-ordered s x N view of x with one row per stage: it forms
+F x_i and M x_i row by row with spmv() and adds h_t^mu C (F X), so it
+copies and transposes nothing. apply() returns a fresh array on each call.
+
+The hot kernels (apply, the substitution's F z_j, precond's V-cycle) are
+kept bit for bit equal to their plain `@` forms: every product and sum is
+the same operation in the same order. Rewriting them for speed must not
+reorder a sum, fuse operations or precompute quotients (such as omega/d
+in the V-cycle), since that moves the last digits of every row the CLI
+reports.
+
+The solve substitutes over stages: forward for a lower triangular C,
+backward for an upper one, else in the real Schur basis of C. Each
+diagonal block M + c F of the substitution, c = h_t^mu a for a diagonal
+value a (complex for a 2 x 2 Schur block), is solved by
+block_solver(M, F, c), called once per distinct a. The default block
+solver, lu_block, is its exact LU; a block preconditioner may pass an
+approximate one (precond's V-cycle).
 
 Every LU of a block M + c F (c real or complex) is made by factor(): a
 minimum-degree ordering of the pattern of S^T + S, with SuperLU's
@@ -23,6 +35,7 @@ unsymmetric matrices. Partial pivoting (the default threshold) stays on.
 
 import numpy as np
 from scipy.linalg import schur
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 from scipy.sparse.linalg import splu
 
 from .assembly import assemble_load, assemble_stiffness
@@ -30,6 +43,29 @@ from .butcher import ButcherTableau
 from .errors import FactorizationError, ResourceLimitError
 
 DENSE_GUARD = 20000  # max s*N for materialize()
+
+
+def spmv(A, x, out):
+    """out = A @ x for a CSR matrix A and a vector or (n, m) block x,
+    written into `out` (C-contiguous, of the dtype of A @ x); returns
+    out. The values are bit for bit those of A @ x."""
+    # A @ x ends in this same kernel (started from zeros, as here), but
+    # first dispatches on the operand types and allocates its result; at
+    # the sizes of the V-cycle's levels that overhead costs about as much
+    # as the arithmetic. The kernel checks no lengths, so they are
+    # checked here.
+    n_row, n_col = A.shape
+    if (A.format != "csr" or x.ndim not in (1, 2) or x.shape[0] != n_col
+            or out.shape != (n_row, *x.shape[1:]) or not out.flags.c_contiguous
+            or out.dtype != np.promote_types(A.dtype, x.dtype)):
+        raise ValueError(f"spmv: cannot write a {A.format} {A.shape} {A.dtype} "
+                         f"times {x.shape} {x.dtype} into {out.shape} {out.dtype}")
+    out.fill(0)
+    if x.ndim == 1:
+        csr_matvec(n_row, n_col, A.indptr, A.indices, A.data, x, out)
+    else:
+        csr_matvecs(n_row, n_col, x.shape[1], A.indptr, A.indices, A.data, x, out)
+    return out
 
 
 def factor(S):
@@ -114,12 +150,16 @@ class StageOperator:
         return self._apply(x, self.coupling.T)
 
     def _apply(self, x, C):
-        X = self._blocks(x).T                     # columns are stage blocks
-        FX = self.F @ X                           # s stiffness matvecs, reused
-        Y = self.M @ X + (self.h_t ** self.mu) * (FX @ C.T)
+        X = self._blocks(x)
+        FX = np.empty(X.shape)                    # s stiffness matvecs, reused
+        Y = np.empty(X.shape)
+        for i in range(self.s):
+            spmv(self.F, X[i], FX[i])
+            spmv(self.M, X[i], Y[i])
+        Y += (self.h_t ** self.mu) * (C @ FX)
         self.n_mass_matvecs += self.s
         self.n_stiffness_matvecs += self.s
-        return Y.T.ravel()
+        return Y.ravel()
 
     def solve(self, r):
         """Exact solve with the operator, of one stage vector or of the
@@ -155,7 +195,7 @@ class StageOperator:
                 for i in range(lo, hi):
                     if T[i, j] != 0.0:
                         if FZ[j] is None:
-                            FZ[j] = self.F @ Z[j]
+                            FZ[j] = spmv(self.F, Z[j], np.empty(Z.shape[1:]))
                         acc[i - lo] -= scale * T[i, j] * FZ[j]
             if hi - lo == 1:
                 Z[lo] = solver.solve(acc[0])

@@ -34,6 +34,12 @@ def grid():
             configs[f"kappa-{route}-{problem}"] = ExperimentConfig(
                 command="kappa", kappa_method=route, **base)
         configs[f"mms-{problem}"] = ExperimentConfig(command="mms", **base)
+    # wave Gauss-Legendre Nystrom s=5 runs many iterations, which amplifies
+    # any rounding change of the stage apply or the V-cycle
+    for subsolve in ("exact", "vcycle"):
+        configs[f"gmres-{subsolve}-wave-s5"] = ExperimentConfig(
+            command="gmres", problem="wave", coeff="constant-diffusion",
+            stages=(5,), mesh_k=(2,), precond=("J", "LD"), subsolve=subsolve)
     return configs
 
 

@@ -208,6 +208,47 @@ class TestVCycle:
         r = np.random.default_rng(k).standard_normal(sub.S[-1].shape[0])
         assert np.array_equal(sub.solve(r), cycle(r, k - 1))
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_complex_shift_matches_matmul_cycle(self, k):
+        # a complex shift c makes the level matrices, the work vectors and
+        # the result complex; the in-place cycle keeps the bits of the
+        # cycle written with @, for a real and a complex right-hand side
+        sub = self.make_vcycle(k, 0.3 + 0.2j, "variable")
+
+        def jacobi(level, x, b, sweeps):
+            for _ in range(sweeps):
+                x = x + SMOOTHER_DAMPING * (b - sub.S[level] @ x) / sub.diag[level]
+            return x
+
+        def cycle(r, level):
+            if level == 0:
+                return sub.coarse_lu.solve(r)
+            R, Rt = sub.prolongations[level - 1], sub.restrictions[level - 1]
+            x = jacobi(level, SMOOTHER_DAMPING * r / sub.diag[level], r, PRE_SWEEPS - 1)
+            x = x + R @ cycle(Rt @ (r - sub.S[level] @ x), level - 1)
+            return jacobi(level, x, r, POST_SWEEPS)
+
+        rng = np.random.default_rng(k)
+        n = sub.S[-1].shape[0]
+        for r in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            z = sub.solve(r)
+            assert z.dtype == np.complex128
+            assert np.array_equal(z, cycle(r, k - 1))
+
+    def test_solve_owns_no_returned_array(self):
+        # the work vectors are reused by every solve; the argument and the
+        # arrays earlier solves returned are not among them
+        sub = self.make_vcycle(4, 0.1, "variable")
+        r1, r2 = np.random.default_rng(11).standard_normal((2, sub.S[-1].shape[0]))
+        r1_before = r1.copy()
+        z1 = sub.solve(r1)
+        z1_before = z1.copy()
+        z2 = sub.solve(r2)
+        assert np.array_equal(r1, r1_before)
+        assert np.array_equal(z1, z1_before)
+        assert not np.shares_memory(z1, z2)
+        assert np.array_equal(sub.solve(r1), z1)
+
 
 class TestVCycleSubsolves:
     @pytest.mark.parametrize("kind", ("GSL", "LD", "DU"))

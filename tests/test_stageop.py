@@ -10,7 +10,7 @@ from irkprec.butcher import (butcher_preconditioner_matrix, gauss_legendre,
                              nystrom_from, radau_iia)
 from irkprec.driver import method_tableau, mms_problem, timestep_rule
 from irkprec.errors import FactorizationError, ResourceLimitError
-from irkprec.mesh import build_mesh
+from irkprec.mesh import build_hierarchy, build_mesh
 from irkprec.precond import build_preconditioner
 from irkprec.stageop import StageOperator, build_stage_rhs
 
@@ -107,6 +107,56 @@ class TestApply:
         x, y = rng.standard_normal((2, op.size))
         assert abs(y @ op.apply(x) - x @ op.apply_transpose(y)) <= 1e-10
 
+    def test_strided_input(self, small_system):
+        _, M, F = small_system
+        op = StageOperator(radau_iia(3), M, F, 0.4, 1)
+        x = np.random.default_rng(6).standard_normal(2 * op.size)[::2]
+        for apply in (op.apply, op.apply_transpose):
+            assert np.array_equal(apply(x), apply(x.copy()))
+
+
+class TestSpmv:
+    """spmv(A, x, out) writes the bits of A @ x into out."""
+
+    @pytest.fixture(scope="class")
+    def operands(self):
+        mesh = build_mesh(2)
+        M = assemble_mass(mesh)
+        F = assemble_stiffness(mesh, coefficient_preset("variable"))
+        R = build_hierarchy(2).prolongations[0]  # CSR, not square
+        return {"F": F, "M + cF": (M + (0.3 + 0.2j) * F).tocsr(), "R": R, "R^T": R.T.tocsr()}
+
+    @pytest.mark.parametrize("name", ["F", "M + cF", "R", "R^T"])
+    @pytest.mark.parametrize("x_complex", [False, True])
+    @pytest.mark.parametrize("m", [None, 3])
+    def test_bit_equal_to_matmul(self, operands, name, x_complex, m):
+        A = operands[name]
+        rng = np.random.default_rng(7)
+        shape = (A.shape[1],) if m is None else (A.shape[1], m)
+        x = rng.standard_normal(shape)
+        if x_complex:
+            x = x + 1j * rng.standard_normal(shape)
+        expected = A @ x
+        # stale values in out must not leak into the sum
+        out = np.full(expected.shape, np.nan, expected.dtype)
+        assert stageop.spmv(A, x, out) is out
+        assert np.array_equal(out, expected)
+
+    def test_rejects_mismatched_operands(self, operands):
+        F = operands["F"]
+        n = F.shape[0]
+        x = np.ones(n)
+        for out in (np.empty(n - 1), np.empty((n, 1)), np.empty(n, np.complex128),
+                    np.empty(n, np.float32), np.empty(2 * n)[::2]):
+            with pytest.raises(ValueError):
+                stageop.spmv(F, x, out)
+        with pytest.raises(ValueError):
+            stageop.spmv(F, x + 1j, np.empty(n))        # complex product, real out
+        with pytest.raises(ValueError):
+            stageop.spmv(F, np.ones(n - 1), np.empty(n))  # the kernel reads x[:n]
+        with pytest.raises(ValueError):
+            stageop.spmv(F.tocsc(), x, np.empty(n))
+
 
 class TestMaterialize:
     def test_agreement_with_apply(self, small_system):
@@ -166,6 +216,37 @@ def stage_cases(draw, couplings=("A",) + ALL_KINDS):
 def variable_system():
     mesh = build_mesh(1)
     return assemble_mass(mesh), assemble_stiffness(mesh, coefficient_preset("variable"))
+
+
+@pytest.fixture(scope="module")
+def variable_systems():
+    """{k: (M, F)} with variable coefficients on the meshes k = 1, 2."""
+    coeff = coefficient_preset("variable")
+    return {k: (assemble_mass(build_mesh(k)), assemble_stiffness(build_mesh(k), coeff))
+            for k in (1, 2)}
+
+
+class TestApplyBitForBit:
+    """apply and apply_transpose give the bits of the Kronecker form on
+    the (N, s) view X of x, whose columns are the stage blocks."""
+
+    @staticmethod
+    def kronecker_form(op, x, C):
+        X = x.reshape(op.s, op.N).T
+        return (op.M @ X + op.h_t ** op.mu * ((op.F @ X) @ C.T)).T.ravel()
+
+    @PROPERTY
+    @given(s=st.integers(1, 5), mu=st.sampled_from((1, 2)), k=st.integers(1, 2),
+           h_t=st.floats(1e-3, 1.0), seed=st.integers(0, 2 ** 16))
+    def test_matches_kronecker_form(self, variable_systems, s, mu, k, h_t, seed):
+        M, F = variable_systems[k]
+        rng = np.random.default_rng(seed)
+        C = rng.standard_normal((s, s))
+        op = StageOperator(C, M, F, h_t, mu)
+        x = rng.standard_normal(op.size)
+        assert np.array_equal(op.apply(x), self.kronecker_form(op, x, C))
+        assert np.array_equal(op.apply_transpose(x), self.kronecker_form(op, x, C.T))
+        assert op.n_mass_matvecs == op.n_stiffness_matvecs == 2 * s
 
 
 class TestSolve:
