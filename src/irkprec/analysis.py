@@ -2,9 +2,12 @@
 condition numbers, eigenvalue spectra, and field-of-values boundaries.
 
 The dense route forms A_h by StageOperator.materialize and P_h^-1 A_h by
-P_h's exact Kronecker solve (StageOperator.solve) with A_h as an s N x
-s N block of right-hand sides; P_h itself is never materialized. Its
-singular values and eigenvalues come from LAPACK.
+P_h's exact Kronecker solve (StageOperator.solve) on column blocks of
+A_h, each written back over A_h; P_h itself is never materialized. The
+singular values come from LAPACK, in place on the same buffer. So
+condition_number holds one (s N)^2 float64 buffer plus O(s N width)
+solve temporaries (width = DENSE_SOLVE_WIDTH columns); spectrum needs a
+second buffer, since np.linalg.eigvals works on a copy.
 
 The iterative route (condition_number_iterative) takes sigma_max of
 X = P_h^-1 A_h and of X^-1 = A_h^-1 P_h by Lanczos on the Gram operator
@@ -21,6 +24,7 @@ import scipy.sparse.linalg as spla
 
 from .stageop import StageOperator
 
+DENSE_SOLVE_WIDTH = 256  # columns per P_h solve in preconditioned_dense
 FOV_EIGH_CUTOFF = 600  # full eigh below, Lanczos above
 FOV_LANCZOS_TOL = 1e-6
 
@@ -47,16 +51,24 @@ def _prec_matrix(prec):
 
 
 def preconditioned_dense(op, prec):
-    """Dense A_h, or P_h^-1 A_h when prec is given: P_h's exact Kronecker
-    solve (StageOperator.solve, stage-wise substitution with sparse LUs
-    of the blocks M + h_t^mu p_ii F) applied to all s N columns of dense
-    A_h at once. P_h is never materialized; A_h is, under the dense
-    guard."""
+    """Dense A_h, or P_h^-1 A_h when prec is given, in A_h's own buffer:
+    P_h's exact Kronecker solve (StageOperator.solve, stage-wise
+    substitution with sparse LUs of the blocks M + h_t^mu p_ii F) runs on
+    DENSE_SOLVE_WIDTH columns of A_h at a time, and each block of
+    solutions is written back over its columns. P_h is never
+    materialized; A_h is, under the dense guard. Memory: one (s N)^2
+    float64 buffer plus the solve's O(s N width) temporaries. SuperLU
+    solves each column of a block on its own, so the result does not
+    depend on the width."""
     A = op.materialize()
     P = _prec_matrix(prec)
     if P is None:
         return A
-    return StageOperator(P, op.M, op.F, op.h_t, op.mu).solve(A)
+    Ph = StageOperator(P, op.M, op.F, op.h_t, op.mu)
+    width = DENSE_SOLVE_WIDTH
+    for lo in range(0, A.shape[1], width):
+        A[:, lo:lo + width] = Ph.solve(A[:, lo:lo + width])
+    return A
 
 
 def _svdvals(B):
@@ -115,7 +127,8 @@ def condition_number_iterative(op, prec=None, tol=1e-8, seed=0):
 
 
 def spectrum(op, prec=None, label=""):
-    """Full eigenvalue set of the (preconditioned) dense matrix."""
+    """Full eigenvalue set of the (preconditioned) dense matrix. Two
+    (s N)^2 buffers: np.linalg.eigvals copies the matrix."""
     B = preconditioned_dense(op, prec)
     ev = np.linalg.eigvals(B)
     sv = _svdvals(B)  # after eigvals: overwrites B

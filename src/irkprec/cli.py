@@ -176,10 +176,11 @@ class _Workspace:
         return butcher_preconditioner_matrix(self.tableau(s), kind)
 
 
-def _kappa_one(ws, s, k, h_t, kind):
+def _kappa_one(ws, op, kind):
+    """kappa of `kind` against the cell's system operator `op` (shared by
+    the cell's kinds, so the iterative route factors A's blocks once)."""
     config = ws.config
-    op = ws.operator(s, k, h_t)
-    prec = ws.prec_matrix(s, kind)
+    prec = ws.prec_matrix(op.s, kind)
     method = config.kappa_method
     if method == "auto":
         method = "dense" if op.size <= KAPPA_DENSE_CUTOFF else "iterative"
@@ -206,8 +207,9 @@ def run_kappa(config):
     ws = _Workspace(config)
     rows = []
     for s, k, h, h_t in _grid(config, ws):
+        op = ws.operator(s, k, h_t)
         for kind in ["none"] + list(config.precond):
-            kappa, used = _kappa_one(ws, s, k, h_t, kind)
+            kappa, used = _kappa_one(ws, op, kind)
             rows.append({
                 "problem": config.problem, "coeff": config.coeff,
                 "method": ws.method_label(s), "s": s, "h": h, "h_t": h_t,

@@ -34,6 +34,7 @@ unsymmetric matrices. Partial pivoting (the default threshold) stays on.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import schur
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 from scipy.sparse.linalg import splu
@@ -42,7 +43,10 @@ from .assembly import assemble_load, assemble_stiffness
 from .butcher import ButcherTableau
 from .errors import FactorizationError, ResourceLimitError
 
-DENSE_GUARD = 20000  # max s*N for materialize()
+# max s*N for materialize(). The dense kappa route (analysis) holds one
+# (s N)^2 float64 buffer, 3.2 GB at the guard, plus O(s N width) solve
+# temporaries; analysis.spectrum holds a second buffer.
+DENSE_GUARD = 20000
 
 
 def spmv(A, x, out):
@@ -235,12 +239,20 @@ class StageOperator:
         return Q, T, lower, blocks
 
     def materialize(self):
-        """Explicit dense I (x) M + h_t^mu C (x) F for spectral analysis."""
-        if self.size > DENSE_GUARD:
+        """Explicit dense I (x) M + h_t^mu C (x) F for spectral analysis.
+
+        The Kronecker sum is formed sparse and made dense once, so the
+        route allocates one (s N)^2 float64 buffer plus O(s^2 nnz(F))
+        sparse temporaries. Every entry is the float sum of the dense
+        form np.kron(I, M) + h_t^mu np.kron(C, F): c f, then h_t^mu (c f),
+        then m + that."""
+        n = self.size
+        if n > DENSE_GUARD:
             raise ResourceLimitError(
-                f"s*N = {self.size} exceeds dense guard {DENSE_GUARD}")
-        return (np.kron(np.eye(self.s), self.M.toarray())
-                + self.h_t ** self.mu * np.kron(self.coupling, self.F.toarray()))
+                f"s*N = {n} exceeds dense guard {DENSE_GUARD}: the dense "
+                f"matrix would take {n * n * 8} bytes ({n * n * 8 / 2**30:.1f} GiB)")
+        return (sp.kron(sp.identity(self.s), self.M)
+                + self.h_t ** self.mu * sp.kron(self.coupling, self.F)).toarray()
 
 
 def build_stage_rhs(mesh, coeff, tableau, h_t, mu, t_prev, u_prev,

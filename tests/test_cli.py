@@ -6,7 +6,7 @@ from typing import get_args, get_origin
 import numpy as np
 import pytest
 
-from irkprec import analysis, cli, driver
+from irkprec import analysis, cli, driver, stageop
 from irkprec.assembly import assemble_mass, assemble_stiffness
 from irkprec.cli import (ExperimentConfig, build_config, config_from_argv,
                          emit, emit_csv, main, make_parser, parse_config_file,
@@ -156,6 +156,27 @@ class TestKappaCommand:
         rows = run_kappa(tiny_config(stages=(2,), precond=("LD",)))
         by_kind = {r["precond"]: r["kappa"] for r in rows}
         assert by_kind["LD"] < by_kind["none"]
+
+    def test_one_system_operator_per_cell(self, monkeypatch):
+        # the iterative route factors A's Schur blocks once per cell, not
+        # once per kind; Radau IIA s=2 has one complex Schur block and the
+        # preconditioner matrices are real triangular, so complex shifts
+        # count A's factorizations
+        config = tiny_config(problem="diffusion", stages=(2,), ht=(0.5, 0.1),
+                             precond=("J", "GSL", "LD"), kappa_method="iterative")
+        shifts = []
+        lu_block = stageop.lu_block
+        monkeypatch.setattr(stageop, "lu_block",
+                            lambda M, F, c: shifts.append(c) or lu_block(M, F, c))
+        rows = run_kappa(config)
+        assert sum(isinstance(c, complex) for c in shifts) == 2   # two cells
+        # the rows are those of a fresh operator per kind
+        ws = cli._Workspace(config)
+        for row in rows:
+            op = ws.operator(2, 1, row["h_t"])
+            P = ws.prec_matrix(2, row["precond"])
+            assert row["kappa"] == analysis.condition_number_iterative(
+                op, P, seed=config.seed)
 
     @pytest.mark.parametrize("command,route", [
         ("kappa", "dense"), ("kappa", "iterative"), ("spectrum", "dense"),

@@ -189,7 +189,8 @@ class TestMaterialize:
         _, M, F = small_system
         big = sp.identity(15000, format="csr")
         op = StageOperator(radau_iia(2), big, big, 0.5, 1)
-        with pytest.raises(ResourceLimitError):
+        # refused before allocating; the message names the bytes it would take
+        with pytest.raises(ResourceLimitError, match="7200000000 bytes"):
             op.materialize()
 
 
@@ -210,6 +211,23 @@ def stage_cases(draw, couplings=("A",) + ALL_KINDS):
     h_t = draw(st.floats(1e-3, 1.0))
     mu = draw(st.sampled_from((1, 2)))
     return t, which, C, h_t, mu, np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+
+
+@st.composite
+def materialize_cases(draw):
+    """(k, C, h_t, mu): C the Butcher matrix or a preconditioner matrix of
+    either tableau at s = 1..5, or a random s x s matrix with zero and
+    negative entries."""
+    s = draw(st.integers(1, 5))
+    which = draw(st.sampled_from(("A", "random") + ALL_KINDS))
+    if which == "random":
+        entry = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+        C = np.array(draw(st.lists(entry, min_size=s * s, max_size=s * s))).reshape(s, s)
+    else:
+        t = TABLEAUS[draw(st.sampled_from(sorted(TABLEAUS)))](s)
+        C = t.A if which == "A" else butcher_preconditioner_matrix(t, which)
+    return (draw(st.integers(1, 2)), C, draw(st.floats(1e-3, 2.0)),
+            draw(st.sampled_from((1, 2))))
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +265,21 @@ class TestApplyBitForBit:
         assert np.array_equal(op.apply(x), self.kronecker_form(op, x, C))
         assert np.array_equal(op.apply_transpose(x), self.kronecker_form(op, x, C.T))
         assert op.n_mass_matvecs == op.n_stiffness_matvecs == 2 * s
+
+
+class TestMaterializeBitForBit:
+    """materialize() makes the sparse Kronecker sum dense once; it does the
+    float operations of the np.kron form: c f, then h_t^mu (c f), then
+    m + that."""
+
+    @PROPERTY
+    @given(case=materialize_cases())
+    def test_matches_dense_kronecker_form(self, variable_systems, case):
+        k, C, h_t, mu = case
+        M, F = variable_systems[k]
+        D = StageOperator(C, M, F, h_t, mu).materialize()
+        assert D.dtype == np.float64 and D.flags.c_contiguous
+        assert np.array_equal(D, dense_kron_oracle(C, M, F, h_t, mu))
 
 
 class TestSolve:
