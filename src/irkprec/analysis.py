@@ -1,13 +1,27 @@
 """Spectral diagnostics of (preconditioned) stage operators: 2-norm
 condition numbers, eigenvalue spectra, and field-of-values boundaries.
 
-The dense route forms A_h by StageOperator.materialize and P_h^-1 A_h by
-P_h's exact Kronecker solve (StageOperator.solve) on column blocks of
-A_h, each written back over A_h; P_h itself is never materialized. The
-singular values come from LAPACK, in place on the same buffer. So
-condition_number holds one (s N)^2 float64 buffer plus O(s N width)
-solve temporaries (width = DENSE_SOLVE_WIDTH columns); spectrum needs a
-second buffer, since np.linalg.eigvals works on a copy.
+The dense route forms A_h by StageOperator.materialize and B = P_h^-1 A_h
+by P_h's exact Kronecker solve (StageOperator.solve) on column blocks of
+A_h, each written back over A_h; P_h itself is never materialized.
+condition_number then overwrites B with the Gram matrix G = B B^T, one
+block of rows at a time, and takes kappa = sqrt(lambda_max / lambda_min)
+from LAPACK's symmetric eigensolver, in place on the same buffer: one
+tridiagonal reduction (4/3 n^3 flops, after n^3 for G in matrix-matrix
+products) where the singular values of B need a bidiagonal one (8/3 n^3,
+half of it memory-bound matrix-vector products). Squaring costs
+accuracy: kappa comes out to about eps kappa^2 / 2, relative (measured
+up to eps kappa^2). Where that would pass the iterative route's 1e-8
+(Gram kappa above GRAM_KAPPA_MAX), or lambda_min <= 0, B is formed again
+and kappa is sigma_max / sigma_min from its singular values. G is formed
+from B, not as P_h^-1 (A_h A_h^T) P_h^-T from the sparse A_h: that form
+carries the rounding of A_h A_h^T, relative to ||A_h||^2 ||P_h^-1||^2,
+and so moved kappa by up to 3.5e-7 on wave rows with kappa = 60 but
+kappa(A_h) = 2.7e5.
+
+Memory: condition_number holds one (s N)^2 float64 buffer at a time
+plus O(s N width) temporaries (width = DENSE_SOLVE_WIDTH); spectrum
+needs a second buffer, since np.linalg.eigvals works on a copy.
 
 The iterative route (condition_number_iterative) takes sigma_max of
 X = P_h^-1 A_h and of X^-1 = A_h^-1 P_h by Lanczos on the Gram operator
@@ -24,7 +38,11 @@ import scipy.sparse.linalg as spla
 
 from .stageop import StageOperator
 
-DENSE_SOLVE_WIDTH = 256  # columns per P_h solve in preconditioned_dense
+DENSE_SOLVE_WIDTH = 256  # columns per P_h solve, rows per Gram block
+# A Gram kappa above this is recomputed from the singular values: the
+# Gram kappa's error, up to about eps kappa^2 (measured), would pass the
+# iterative route's tol of 1e-8 here
+GRAM_KAPPA_MAX = np.sqrt(1e-8 / np.finfo(float).eps)
 FOV_EIGH_CUTOFF = 600  # full eigh below, Lanczos above
 FOV_LANCZOS_TOL = 1e-6
 
@@ -78,9 +96,36 @@ def _svdvals(B):
     return scipy.linalg.svdvals(B.T, overwrite_a=True, check_finite=False)
 
 
+def _gram_in_place(B):
+    """The lower triangle of G = B B^T over B's own buffer (the rest of
+    the buffer is left stale), one block of DENSE_SOLVE_WIDTH rows at a
+    time, from the last block up: rows lo:hi of G need only rows :hi of
+    B, which no earlier block has overwritten. One (width, n) temporary."""
+    n, width = B.shape[0], DENSE_SOLVE_WIDTH
+    T = np.empty((min(width, n), n))
+    for lo in reversed(range(0, n, width)):
+        hi = min(lo + width, n)
+        B[lo:hi, :hi] = np.matmul(B[lo:hi], B[:hi].T, out=T[:hi - lo, :hi])
+    return B
+
+
 def condition_number(op, prec=None):
-    """kappa_2 from the singular values of the dense matrix of
-    preconditioned_dense. Subject to the dense-materialization guard."""
+    """kappa_2 of B = preconditioned_dense(op, prec), subject to the dense
+    guard, as sqrt(lambda_max / lambda_min) of the Gram matrix G = B B^T:
+    _gram_in_place forms G over B's buffer, and LAPACK's symmetric
+    eigensolver works in place on G.T, G's Fortran-ordered view. kappa is
+    accurate to about eps kappa^2 / 2, relative (lambda_min carries an
+    absolute error of about eps lambda_max). Above GRAM_KAPPA_MAX, or when
+    lambda_min <= 0, B is formed again and kappa is sigma_max / sigma_min
+    from its singular values. One (s N)^2 float64 buffer at a time, plus
+    O(s N width) temporaries."""
+    G = _gram_in_place(preconditioned_dense(op, prec))
+    # lower=False reads the upper triangle of G.T, the lower one of G
+    lam = scipy.linalg.eigh(G.T, lower=False, eigvals_only=True, overwrite_a=True,
+                            check_finite=False, driver="evd")
+    del G  # the fallback's B takes its place
+    if lam[-1] <= GRAM_KAPPA_MAX ** 2 * lam[0]:  # also false for lambda_min <= 0
+        return np.sqrt(lam[-1] / lam[0])
     sv = _svdvals(preconditioned_dense(op, prec))
     return sv[0] / sv[-1]
 

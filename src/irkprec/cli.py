@@ -37,8 +37,22 @@ ARTIFACT_COMMANDS = ("spectrum", "fov", "export")  # --out is a directory
 FORMATS = ("csv", "json", "md")
 ALL_KINDS = ("J", "GSL", "TRIU", "LD", "DU")
 
-# dense SVD above this size is slower than the LU-based iterative route
+# largest s N that kappa_method "auto" sends to the dense route. The
+# iterative route is already faster at s N = 2178 (0.03-0.3 s against
+# 1.3-1.7 s a row, diffusion Radau IIA s=2); the value stays because
+# perfbench's kappa-table records its k=4 rows as dense under it
 KAPPA_DENSE_CUTOFF = 4500
+
+# largest s N of each dense command: its peak memory in (s N)^2 float64
+# buffers (tracemalloc, diffusion Radau IIA s=3, LD) within the kappa
+# route's budget of one buffer at DENSE_GUARD, 8 DENSE_GUARD^2 bytes.
+# kappa holds one buffer; spectrum two (np.linalg.eigvals copies); fov
+# 5.12 at s N = 867, taken as 5.2, above analysis.FOV_EIGH_CUTOFF (B,
+# its Hermitian and skew parts, and a complex copy of the Hermitian part
+# in each Lanczos matvec), 9.0 on the eigh route below it, which stays
+# under 600
+DENSE_LIMIT = {command: int(DENSE_GUARD / buffers ** 0.5)
+               for command, buffers in (("kappa", 1), ("spectrum", 2), ("fov", 5.2))}
 
 
 def _one_of(choices, default):
@@ -75,8 +89,8 @@ class ExperimentConfig:
 
 def validate(config):
     """Check the configuration up front; returns the list of grid cells
-    that exceed the dense guard (skipped with a warning by the point-cloud
-    commands)."""
+    above the command's DENSE_LIMIT (skipped with a warning by the
+    point-cloud commands)."""
     for f in fields(config):
         choices = f.metadata.get("choices")
         if choices is None:
@@ -117,16 +131,18 @@ def validate(config):
             raise ConfigError(f"out: {config.out!r} is a directory")
 
     violations = []
+    limit = DENSE_LIMIT.get(config.command)
     for s in config.stages:
         for k in config.mesh_k:
-            if s * nodes_at_level(k) <= DENSE_GUARD:
+            n = s * nodes_at_level(k)
+            if limit is None or n <= limit:
                 continue
-            if config.command in ("spectrum", "fov"):
+            if config.command != "kappa":
                 violations.append((s, k))
-            elif config.command == "kappa" and config.kappa_method == "dense":
+            elif config.kappa_method == "dense":
                 raise ConfigError(
-                    f"dense kappa requested but s*N = {s * nodes_at_level(k)} at "
-                    f"(s={s}, k={k}) exceeds the guard {DENSE_GUARD}")
+                    f"dense kappa requested but s*N = {n} at "
+                    f"(s={s}, k={k}) exceeds the guard {limit}")
     return violations
 
 
@@ -292,7 +308,8 @@ def run_cloud(config, violations=()):
         if (s, k) in violations:
             rows.append({**cell, "precond": "skipped", **dict.fromkeys(stats),
                          "file": "",
-                         "warning": f"s*N = {s * nodes_at_level(k)} exceeds dense guard"})
+                         "warning": f"s*N = {s * nodes_at_level(k)} exceeds dense "
+                                    f"guard {DENSE_LIMIT[config.command]} of {config.command}"})
             continue
         op = ws.operator(s, k, h_t)
         for kind in ["none"] + list(config.precond):

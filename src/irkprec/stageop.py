@@ -43,9 +43,11 @@ from .assembly import assemble_load, assemble_stiffness
 from .butcher import ButcherTableau
 from .errors import FactorizationError, ResourceLimitError
 
-# max s*N for materialize(). The dense kappa route (analysis) holds one
-# (s N)^2 float64 buffer, 3.2 GB at the guard, plus O(s N width) solve
-# temporaries; analysis.spectrum holds a second buffer.
+# max s*N for materialize(), so for every dense route. The dense kappa
+# route (analysis.condition_number: P_h^-1 A_h, then its Gram matrix)
+# holds one (s N)^2 float64 buffer at a time, 3.2 GB at the guard, plus
+# O(s N width) temporaries. spectrum and fov hold more buffers, so the
+# CLI gives them lower limits of their own (cli.DENSE_LIMIT).
 DENSE_GUARD = 20000
 
 

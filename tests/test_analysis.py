@@ -3,11 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 
 from irkprec import analysis
-from irkprec.analysis import (FOV_EIGH_CUTOFF, FOV_LANCZOS_TOL, butcher_kappa,
-                              condition_number, condition_number_iterative,
-                              field_of_values, preconditioned_dense, spectrum)
+from irkprec.analysis import (FOV_EIGH_CUTOFF, FOV_LANCZOS_TOL, GRAM_KAPPA_MAX,
+                              _svdvals, butcher_kappa, condition_number,
+                              condition_number_iterative, field_of_values,
+                              preconditioned_dense, spectrum)
 from irkprec.assembly import assemble_mass, assemble_stiffness, coefficient_preset
 from irkprec.butcher import (butcher_preconditioner_matrix, gauss_legendre,
                              nystrom_from, radau_iia)
@@ -115,6 +117,91 @@ class TestConditionNumber:
         assert np.linalg.norm(B - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+def peak_in_buffers(op, fn):
+    """Peak traced allocation of fn() in units of one (s N)^2 float64
+    buffer."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * op.size ** 2)
+
+
+def svd_kappa(op, P):
+    """kappa_2 from the singular values of P_h^-1 A_h."""
+    sv = _svdvals(preconditioned_dense(op, P))
+    return sv[0] / sv[-1]
+
+
+class TestGramRoute:
+    """condition_number takes kappa from the eigenvalues of the Gram
+    matrix of P_h^-1 A_h and falls back to its singular values where the
+    Gram kappa is too inaccurate."""
+
+    @pytest.fixture(scope="class")
+    def matrices(self):
+        coeff = coefficient_preset("constant-diffusion")
+        return {k: (assemble_mass(build_mesh(k)), assemble_stiffness(build_mesh(k), coeff))
+                for k in (1, 2, 3)}
+
+    @pytest.mark.parametrize("problem", ["diffusion", "wave"])
+    @pytest.mark.parametrize("kind", ["none", "J", "GSL", "TRIU", "LD", "DU"])
+    @settings(derandomize=True, deadline=None, database=None, max_examples=5)
+    @given(k=st.integers(1, 3), s=st.integers(2, 3),
+           h_t=st.floats(-2.0, np.log10(40.0)).map(lambda e: 10.0 ** e))
+    @example(k=2, s=3, h_t=40.0)  # kappa(A_h) up to 7.3e4
+    def test_matches_svd(self, matrices, problem, kind, k, s, h_t):
+        # Radau IIA for diffusion, Gauss-Legendre Nystrom for wave. The
+        # Gram kappa is accurate to about eps kappa^2: 1e-11 wherever that
+        # is smaller (kappa < 210, as on every preconditioned row here)
+        t = method_tableau(problem, s)
+        op = StageOperator(t, *matrices[k], h_t, mms_problem(problem, "constant-diffusion").mu)
+        P = None if kind == "none" else butcher_preconditioner_matrix(t, kind)
+        expected = svd_kappa(op, P)
+        tol = max(1e-11, np.finfo(float).eps * expected ** 2)
+        assert abs(condition_number(op, P) - expected) <= tol * expected
+
+    @staticmethod
+    def count_svd_calls(monkeypatch):
+        calls = []
+        svdvals = analysis._svdvals
+        monkeypatch.setattr(analysis, "_svdvals", lambda B: calls.append(B.shape) or svdvals(B))
+        return calls
+
+    def test_below_threshold_takes_no_svd(self, monkeypatch, matrices):
+        t = method_tableau("wave", 3)
+        op = StageOperator(t, *matrices[2], 0.5, 2)
+        calls = self.count_svd_calls(monkeypatch)
+        assert condition_number(op, butcher_preconditioner_matrix(t, "LD")) < 10
+        assert calls == []
+
+    def test_above_threshold_falls_back_to_svd(self, monkeypatch):
+        # Klein-Gordon Gauss-Legendre Nystrom s=5, k=2, h_t=40: kappa 4.6e4
+        mesh = build_mesh(2)
+        op = StageOperator(method_tableau("klein-gordon", 5), assemble_mass(mesh),
+                           assemble_stiffness(mesh, coefficient_preset("variable")), 40.0, 2)
+        expected = svd_kappa(op, None)
+        assert expected > GRAM_KAPPA_MAX
+        calls = self.count_svd_calls(monkeypatch)
+        assert condition_number(op) == expected     # bit for bit
+        assert calls == [(op.size, op.size)]
+        # the Gram buffer is freed before B is formed again: measured 1.64
+        # (the buffer and the Gram route's 256 x s N temporary, s N = 405),
+        # 2.2 with G kept alive. Bound: measured + 16%
+        assert peak_in_buffers(op, lambda: condition_number(op)) <= 1.9
+
+    def test_zero_lambda_min_falls_back_to_svd(self, monkeypatch):
+        # lambda_min of the Gram matrix, 1e-400, underflows to 0; the
+        # singular values still give kappa = 1e200
+        M = sp.diags([1.0, 1e-200], format="csr")
+        op = StageOperator(np.zeros((1, 1)), M, sp.csr_matrix((2, 2)), 1.0, 1)
+        calls = self.count_svd_calls(monkeypatch)
+        assert condition_number(op) == 1e200
+        assert calls == [(2, 2)]
+
+
 class TestDenseRouteInPlace:
     """The dense route works in A_h's own (s N)^2 buffer: P_h^-1 A_h is
     solved `width` columns at a time and written back over A_h."""
@@ -149,32 +236,22 @@ class TestDenseRouteInPlace:
                            0.5, 1)
         return op, t
 
-    @staticmethod
-    def peak_in_buffers(op, fn):
-        """Peak traced allocation of fn() in units of one (s N)^2 float64
-        buffer."""
-        tracemalloc.start()
-        try:
-            fn()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return peak / (8 * op.size ** 2)
-
     def test_materialize_peak(self, radau_k3):
         # measured 1.05 (s N = 867): the buffer plus the sparse Kronecker
         # sum; the dense np.kron form took 3.0. Bound: measured + 20%.
         op, _ = radau_k3
-        assert self.peak_in_buffers(op, op.materialize) <= 1.25
+        assert peak_in_buffers(op, op.materialize) <= 1.25
 
     @pytest.mark.parametrize("kind", ["none", "J", "GSL", "TRIU", "LD", "DU"])
     def test_condition_number_peak(self, radau_k3, kind):
-        # measured 1.08 (none), 1.50 (J) and 1.69 (the others) at s N = 867
-        # with width 256; solving all columns at once into a new array took
-        # 3.0-3.35. Bound: the largest measured + 20%.
+        # measured 1.30 (none: the buffer and the Gram route's 256 x s N
+        # temporary), 1.49 (J) and 1.69 (the others: the P_h solve's
+        # temporaries) at s N = 867 with width 256; solving all columns at
+        # once into a new array took 3.0-3.35. Bound: the largest
+        # measured + 20%.
         op, t = radau_k3
         P = None if kind == "none" else butcher_preconditioner_matrix(t, kind)
-        assert self.peak_in_buffers(op, lambda: condition_number(op, P)) <= 2.0
+        assert peak_in_buffers(op, lambda: condition_number(op, P)) <= 2.0
 
 
 class TestSpectrum:

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from dataclasses import fields, replace
 from typing import get_args, get_origin
 
@@ -13,7 +14,7 @@ from irkprec.cli import (ExperimentConfig, build_config, config_from_argv,
                          run, run_cloud, run_export, run_gmres, run_kappa,
                          validate)
 from irkprec.errors import ConfigError
-from irkprec.mesh import MAX_LEVEL, build_mesh
+from irkprec.mesh import MAX_LEVEL, build_mesh, nodes_at_level
 from irkprec.precond import build_preconditioner
 from irkprec.stageop import StageOperator
 
@@ -307,6 +308,27 @@ class TestCloudCommands:
         assert [list(r) for r in rows] == [columns] * 3
         assert all(rows[2][c] is None for c in CLOUD_STATS[command])
         assert rows[2]["file"] == ""
+
+    @pytest.mark.parametrize("command,s", [("fov", 3), ("spectrum", 4)])
+    def test_command_limit_skips_cell_under_dense_guard(self, tmp_path, command, s):
+        # s N = 12675 (fov) or 16900 (spectrum) at k=5: within DENSE_GUARD,
+        # beyond what the command's buffers allow; refused before the
+        # dense route allocates anything
+        n = s * nodes_at_level(5)
+        assert cli.DENSE_LIMIT[command] < n <= stageop.DENSE_GUARD
+        config = tiny_config(command=command, stages=(s,), mesh_k=(5,),
+                             precond=("LD",), out=str(tmp_path))
+        tracemalloc.start()
+        try:
+            rows = run_cloud(config, validate(config))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r["precond"] for r in rows] == ["skipped"]
+        assert rows[0]["warning"] == (f"s*N = {n} exceeds dense guard "
+                                      f"{cli.DENSE_LIMIT[command]} of {command}")
+        assert peak < 0.01 * 8 * n ** 2, peak   # the k=5 mesh only
+        assert list(tmp_path.iterdir()) == []
 
     def test_fov_single_entry_matrix(self, tmp_path):
         config = tiny_config(command="fov", problem="klein-gordon",
