@@ -266,6 +266,7 @@ def run_gmres(config):
                 hierarchy=ws.hierarchy(k) if config.subsolve == "vcycle" else None)
             xk, report = krylov.gmres(op, prec, rhs, tol=config.tol,
                                       max_iter=config.max_iter)
+            del prec  # its LUs are freed before the next kind's are built
             rel_lin = None
             if x_ref is not None:
                 rel_lin = float(np.linalg.norm(xk - x_ref) / np.linalg.norm(x_ref))

@@ -10,7 +10,7 @@ import numpy as np
 from .assembly import (assemble_load, assemble_mass, assemble_stiffness,
                        coefficient_preset)
 from .butcher import TableauKind, gauss_legendre, nystrom_from, radau_iia
-from .krylov import reference_solve
+from .krylov import check_direct_size
 from .mesh import build_mesh
 from .stageop import StageOperator, _stage_rhs
 
@@ -131,9 +131,12 @@ def mms_problem(name, coeff):
 
 
 def direct_solver(op, b):
-    """Default stage-system solver: the exact op.solve (factored on the
-    first step, reused by the rest), no report."""
-    return reference_solve(op, b), None
+    """Default stage-system solver: the exact op.solve, no report. The
+    factors are made on the first step and stay cached on op for the rest
+    of the march (unlike krylov.reference_solve, which frees its own);
+    refused above krylov.DIRECT_GUARD."""
+    check_direct_size(op)
+    return op.solve(b), None
 
 
 def advance(state, tableau, k):

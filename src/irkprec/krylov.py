@@ -12,8 +12,13 @@ import numpy as np
 from scipy.linalg.blas import daxpy, ddot
 
 from .errors import ResourceLimitError
+from .stageop import StageOperator
 
-DIRECT_GUARD = 600000  # max s*N for reference_solve
+# max s*N for an exact stage solve, checked by check_direct_size for both
+# callers: reference_solve (the GMRES tables' oracle, whose factors are
+# freed on return) and driver.direct_solver (the march's solver, whose
+# factors stay cached on the operator for every step)
+DIRECT_GUARD = 600000
 BREAKDOWN_TOL = 1e-14
 
 
@@ -149,10 +154,22 @@ def gmres(op, prec, b, tol=1e-8, max_iter=500):
     return x, report
 
 
-def reference_solve(op, b):
-    """Exact solution of the full stage system by op.solve, whose factors
-    stay cached on op; the oracle for relative-error columns."""
+def check_direct_size(op):
+    """Refuse an exact solve of op above DIRECT_GUARD, before anything is
+    factored."""
     if op.size > DIRECT_GUARD:
         raise ResourceLimitError(
             f"s*N = {op.size} exceeds direct-solve guard {DIRECT_GUARD}")
-    return op.solve(b)
+
+
+def reference_solve(op, b):
+    """Exact solution of the full stage system; the oracle for
+    relative-error columns.
+
+    Solves on a throwaway StageOperator with op's coupling, M, F, h_t, mu
+    and block solver, so its block LUs are freed when it returns and op is
+    left unfactored: the oracle's memory is not held under a Krylov basis
+    built afterwards. The arithmetic is that of op.solve, bit for bit."""
+    check_direct_size(op)
+    return StageOperator(op.coupling, op.M, op.F, op.h_t, op.mu,
+                         op.block_solver).solve(b)

@@ -1,6 +1,7 @@
 import json
 import os
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from typing import get_args, get_origin
 
@@ -273,6 +274,24 @@ class TestGmresCommand:
         assert rows[0]["stop_reason"] == "max_iter"
         _, code = run(config)
         assert code == 2
+
+    def test_one_preconditioner_alive_at_a_time(self, monkeypatch):
+        # each kind's preconditioner (its s exact LUs) is freed before the
+        # next kind's is built
+        built, dead_at_build = [], []
+
+        def tracked_build(*args, **kwargs):
+            dead_at_build.append([ref() is None for ref in built])
+            prec = build_preconditioner(*args, **kwargs)
+            built.append(weakref.ref(prec))
+            return prec
+
+        config = tiny_config(command="gmres", problem="wave", stages=(3,),
+                             mesh_k=(2,), precond=("J", "LD", "GSL"),
+                             subsolve="exact")
+        monkeypatch.setattr(cli, "build_preconditioner", tracked_build)
+        assert len(run_gmres(config)) == 3
+        assert dead_at_build == [[], [True], [True, True]]
 
 
 CLOUD_STATS = {"spectrum": ["min_abs_eig", "kappa"], "fov": ["fov_min_distance"]}

@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ import scipy.sparse as sp
 
 from irkprec.assembly import assemble_mass, assemble_stiffness, coefficient_preset
 from irkprec.butcher import nystrom_from, gauss_legendre, radau_iia
+from irkprec import driver, krylov
 from irkprec.errors import ResourceLimitError
 from irkprec.krylov import BREAKDOWN_TOL, gmres, reference_solve
 from irkprec.mesh import build_hierarchy, build_mesh
 from irkprec.precond import build_preconditioner
-from irkprec.stageop import StageOperator
+from irkprec.stageop import StageOperator, lu_block
 
 
 @pytest.fixture(scope="module")
@@ -300,3 +302,51 @@ class TestReferenceSolve:
         op = StageOperator(radau_iia(3), I, I, 1.0, 1)
         with pytest.raises(ResourceLimitError):
             reference_solve(op, np.zeros(op.size))
+
+    @pytest.mark.parametrize("tableau", [radau_iia(3), nystrom_from(gauss_legendre(5))],
+                             ids=["radau-3", "gl-nystrom-5"])
+    def test_frees_its_factors_and_leaves_op_unfactored(self, tableau):
+        # both couplings have a complex Schur block, so a real and a
+        # complex LU are made and must both be gone on return
+        mesh = build_mesh(2)
+        M = assemble_mass(mesh)
+        F = assemble_stiffness(mesh, coefficient_preset("variable"))
+        made, shifts = [], []
+
+        class Held:
+            def __init__(self, lu):
+                self.lu, self.nnz = lu, lu.nnz
+
+            def solve(self, r):
+                return self.lu.solve(r)
+
+        def held_block(M, F, c):
+            shifts.append(c)
+            held = Held(lu_block(M, F, c))
+            made.append(weakref.ref(held))
+            return held
+
+        mu = 1 if tableau.b_prime is None else 2
+        op = StageOperator(tableau, M, F, 0.3, mu, block_solver=held_block)
+        b = np.random.default_rng(29).standard_normal(op.size)
+        x = reference_solve(op, b)
+        assert any(isinstance(c, complex) for c in shifts)
+        assert made and all(ref() is None for ref in made)
+        assert op.factor_nnz == 0
+        assert np.array_equal(x, StageOperator(tableau, M, F, 0.3, mu).solve(b))
+
+    def test_one_guard_for_both_direct_solves(self, monkeypatch, diffusion_system):
+        *_, M, F, t, _, b = diffusion_system
+        calls = []
+
+        def counting_block(M, F, c):
+            calls.append(c)
+            return lu_block(M, F, c)
+
+        op = StageOperator(t, M, F, 0.25, 1, block_solver=counting_block)
+        monkeypatch.setattr(krylov, "DIRECT_GUARD", op.size - 1)
+        with pytest.raises(ResourceLimitError):
+            reference_solve(op, b)
+        with pytest.raises(ResourceLimitError):
+            driver.direct_solver(op, b)
+        assert calls == []
