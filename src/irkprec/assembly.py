@@ -3,6 +3,21 @@
 The stiffness form is <alpha grad u, grad v> + <beta u, v> for the
 operator K u = -div(alpha grad u) + beta u under homogeneous Neumann
 conditions (no rows or columns are modified).
+
+Every matrix entry and load value is kept bit for bit equal to the plain
+formulas that define it: element geometry from nodes[triangles], the
+quadrature points v0 + P0 e1 + P1 e2, the einsum contractions, and the
+element loads summed in element order. As in stageop's kernels, each
+product and sum is the same operation on the same operands in the same
+order. The code only arranges that each piece of work is done once per
+call (the vertex coordinates gathered once, gradients only for the
+stiffness, f called once) and without spare copies. Swapping the two
+operands of one product or sum is exact and allowed. Reordering a sum,
+fusing operations or replacing a contraction by a matmul (which moved
+load entries by 1e-16) is not: M, F and every stage right-hand side feed
+every row the CLI reports, and the golden rows
+(tests/data/golden_rows.json) compare those rows by exact equality.
+tests/test_assembly.py keeps the plain formulas as references.
 """
 
 from dataclasses import dataclass
@@ -32,22 +47,63 @@ QUAD_PHI = np.column_stack([
 _MASS_TEMPLATE = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
-def _tri_geometry(xy):
-    """Signed areas and P1 basis gradients for triangles xy (T, 3, 2)."""
-    e1 = xy[:, 1] - xy[:, 0]
-    e2 = xy[:, 2] - xy[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    area = 0.5 * det
-    grads = np.empty_like(xy)
-    grads[:, 1, 0] = e2[:, 1] / det
-    grads[:, 1, 1] = -e2[:, 0] / det
-    grads[:, 2, 0] = -e1[:, 1] / det
-    grads[:, 2, 1] = e1[:, 0] / det
-    grads[:, 0] = -grads[:, 1] - grads[:, 2]
-    return area, grads
+def _geometry(mesh):
+    """(ex, ey, det): vertex 0 and the edges e1 = v1 - v0, e2 = v2 - v0 of
+    every triangle, one coordinate at a time, ex = (x0, e1x, e2x) and
+    ey = (y0, e1y, e2y), and det = e1 x e2, twice the signed areas; each a
+    contiguous (T,) array. The vertex coordinates are gathered once per
+    coordinate, vertex-major, as one C-contiguous (3, T) array."""
+    ex, ey = [(v[0], v[1] - v[0], v[2] - v[0])
+              for v in (coord[mesh.triangles.T] for coord in mesh.nodes.T)]
+    (_, e1x, e2x), (_, e1y, e2y) = ex, ey
+    return ex, ey, e1x * e2y - e1y * e2x
 
 
-def _stiffness_local(area, grads, alpha_q, beta_q):
+def _gradients(ex, ey, det):
+    """x and y parts of the P1 basis gradients, two (3, T) arrays with
+    one row per local basis function."""
+    (_, e1x, e2x), (_, e1y, e2y) = ex, ey
+    gx = np.empty((3, det.size))
+    gy = np.empty((3, det.size))
+    gx[1] = e2y / det
+    gy[1] = -e2x / det
+    gx[2] = -e1y / det
+    gy[2] = e1x / det
+    gx[0] = -gx[1] - gx[2]
+    gy[0] = -gy[1] - gy[2]
+    return gx, gy
+
+
+def _gdot(gx, gy):
+    """Local Gram matrices grad phi_i . grad phi_j = gx_i gx_j + gy_i gy_j,
+    shape (T, 3, 3); each product and sum is commutative, so entry (j, i)
+    is entry (i, j) bit for bit and is copied."""
+    gdot = np.empty((gx.shape[1], 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            gdot[:, i, j] = gx[i] * gx[j] + gy[i] * gy[j]
+            if j != i:
+                gdot[:, j, i] = gdot[:, i, j]
+    return gdot
+
+
+def _quad_coord(v0, e1, e2):
+    """One coordinate of all quadrature points, v0 + P0 e1 + P1 e2 for the
+    reference points (P0, P1), as a C-contiguous (T, Q) array."""
+    out = np.empty((v0.size, len(QUAD_POINTS)))
+    for q, (p0, p1) in enumerate(QUAD_POINTS):
+        out[:, q] = v0 + p0 * e1 + p1 * e2
+    return out
+
+
+def _at_quad_points(fn, xq, yq):
+    """fn(xq, yq) as a C-contiguous float (T, Q) array; a result of another
+    shape (a scalar, say) is broadcast and copied."""
+    out = np.asarray(fn(xq, yq), dtype=float)
+    return np.ascontiguousarray(np.broadcast_to(out, xq.shape))
+
+
+def _stiffness_local(area, gx, gy, alpha_q, beta_q):
     """Local matrices of the bilinear form alpha grad.grad + beta id.id.
 
     alpha_q, beta_q: coefficient values at the mapped quadrature points,
@@ -55,11 +111,24 @@ def _stiffness_local(area, grads, alpha_q, beta_q):
     area * sum_q w_q f(x_q).
     """
     abar = alpha_q @ QUAD_WEIGHTS
-    gdot = np.einsum("tix,tjx->tij", grads, grads)
-    S = (area * abar)[:, None, None] * gdot
+    S = _gdot(gx, gy)
+    S *= (area * abar)[:, None, None]
     wb = beta_q * QUAD_WEIGHTS
     S += area[:, None, None] * np.einsum("tq,qi,qj->tij", wb, QUAD_PHI, QUAD_PHI)
     return S
+
+
+def _check_coefficients(alpha, beta):
+    """Refuse alpha that is not finite and > 0, or beta that is not finite
+    and >= 0, anywhere in the given values (a NaN fails every comparison)."""
+    a_lo, a_hi = np.min(alpha), np.max(alpha)
+    b_lo, b_hi = np.min(beta), np.max(beta)
+    if not (0.0 < a_lo and a_hi < np.inf):
+        raise CoefficientError(
+            f"need finite alpha > 0, got values in [{a_lo}, {a_hi}]")
+    if not (0.0 <= b_lo and b_hi < np.inf):
+        raise CoefficientError(
+            f"need finite beta >= 0, got values in [{b_lo}, {b_hi}]")
 
 
 @dataclass(frozen=True)
@@ -121,15 +190,6 @@ def coefficient_preset(name):
     raise ValueError(f"unknown coefficient preset {name!r}; choose from {PRESETS}")
 
 
-def _quad_xy(mesh):
-    """Physical coordinates of all quadrature points, shape (T, Q, 2)."""
-    xy = mesh.nodes[mesh.triangles]
-    v0 = xy[:, 0][:, None, :]
-    e1 = (xy[:, 1] - xy[:, 0])[:, None, :]
-    e2 = (xy[:, 2] - xy[:, 0])[:, None, :]
-    return v0 + QUAD_POINTS[None, :, 0, None] * e1 + QUAD_POINTS[None, :, 1, None] * e2
-
-
 def _scatter(mesh, local):
     """Sum local element contributions into a CSR matrix."""
     tri = mesh.triangles
@@ -142,8 +202,7 @@ def _scatter(mesh, local):
 def assemble_mass(mesh):
     """P1 mass matrix; the local matrix (area/12) [[2,1,1],[1,2,1],[1,1,2]]
     is exact for straight triangles."""
-    xy = mesh.nodes[mesh.triangles]
-    area, _ = _tri_geometry(xy)
+    area = 0.5 * _geometry(mesh)[2]
     local = area[:, None, None] * _MASS_TEMPLATE[None]
     return _scatter(mesh, local)
 
@@ -153,44 +212,36 @@ def assemble_stiffness(mesh, coeff):
 
     Constant presets use exact closed-form local matrices; variable
     coefficients are integrated with the degree-4 rule. Raises
-    CoefficientError if alpha <= 0 or beta < 0 at any quadrature point.
+    CoefficientError unless alpha is finite and > 0 and beta finite and
+    >= 0 (at every quadrature point for variable coefficients).
     """
-    xy = mesh.nodes[mesh.triangles]
-    area, grads = _tri_geometry(xy)
+    ex, ey, det = _geometry(mesh)
+    area = 0.5 * det
+    gx, gy = _gradients(ex, ey, det)
     if coeff.is_constant:
-        if coeff.const_alpha <= 0.0 or coeff.const_beta < 0.0:
-            raise CoefficientError(
-                f"need alpha > 0 and beta >= 0, got alpha={coeff.const_alpha}, "
-                f"beta={coeff.const_beta}")
-        gdot = np.einsum("tix,tjx->tij", grads, grads)
-        local = (coeff.const_alpha * area)[:, None, None] * gdot
+        _check_coefficients(coeff.const_alpha, coeff.const_beta)
+        local = _gdot(gx, gy)
+        local *= (coeff.const_alpha * area)[:, None, None]
         local += (coeff.const_beta * area)[:, None, None] * _MASS_TEMPLATE[None]
         return _scatter(mesh, local)
 
-    pts = _quad_xy(mesh)
-    alpha_q = np.asarray(coeff.alpha(pts[..., 0], pts[..., 1]), dtype=float)
-    beta_q = np.asarray(coeff.beta(pts[..., 0], pts[..., 1]), dtype=float)
-    alpha_q = np.broadcast_to(alpha_q, pts.shape[:2]).copy()
-    beta_q = np.broadcast_to(beta_q, pts.shape[:2]).copy()
-    if alpha_q.min() <= 0.0:
-        raise CoefficientError("alpha <= 0 at a quadrature point")
-    if beta_q.min() < 0.0:
-        raise CoefficientError("beta < 0 at a quadrature point")
-    local = _stiffness_local(area, grads, alpha_q, beta_q)
+    xq, yq = _quad_coord(*ex), _quad_coord(*ey)
+    alpha_q = _at_quad_points(coeff.alpha, xq, yq)
+    beta_q = _at_quad_points(coeff.beta, xq, yq)
+    _check_coefficients(alpha_q, beta_q)
+    local = _stiffness_local(area, gx, gy, alpha_q, beta_q)
     return _scatter(mesh, local)
 
 
 def assemble_load(mesh, f):
-    """Load vector of <f, phi_l> with the same degree-4 quadrature."""
-    xy = mesh.nodes[mesh.triangles]
-    area, _ = _tri_geometry(xy)
-    pts = _quad_xy(mesh)
-    f_q = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
-    f_q = np.broadcast_to(f_q, pts.shape[:2]).copy()
+    """Load vector of <f, phi_l> with the same degree-4 quadrature; f is
+    called once, on two C-contiguous (T, Q) arrays of point coordinates."""
+    ex, ey, det = _geometry(mesh)
+    area = 0.5 * det
+    f_q = _at_quad_points(f, _quad_coord(*ex), _quad_coord(*ey))
     local = area[:, None] * np.einsum("tq,q,qi->ti", f_q, QUAD_WEIGHTS, QUAD_PHI)
-    out = np.zeros(mesh.num_nodes)
-    np.add.at(out, mesh.triangles.ravel(), local.ravel())
-    return out
+    return np.bincount(mesh.triangles.ravel(), local.ravel(),
+                       minlength=mesh.num_nodes)
 
 
 def write_matrix_market(matrix, path):

@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from irkprec.assembly import (QUAD_POINTS, QUAD_WEIGHTS, CoefficientField,
-                              assemble_load, assemble_mass, assemble_stiffness,
-                              coefficient_preset, read_matrix_market,
-                              write_matrix_market)
+from irkprec.assembly import (PRESETS, QUAD_PHI, QUAD_POINTS, QUAD_WEIGHTS,
+                              CoefficientField, assemble_load, assemble_mass,
+                              assemble_stiffness, coefficient_preset,
+                              read_matrix_market, write_matrix_market)
+from irkprec.driver import PROBLEM_NAMES, mms_problem
 from irkprec.errors import CoefficientError
 from irkprec.mesh import build_mesh
 
@@ -15,6 +17,10 @@ from irkprec.mesh import build_mesh
 @pytest.fixture(scope="module")
 def mesh2():
     return build_mesh(2)
+
+
+def ones(x, y):
+    return np.ones_like(np.asarray(x, dtype=float))
 
 
 def test_quadrature_rule_degree_four_exact():
@@ -160,6 +166,207 @@ class TestLoad:
         assert errs[0] < 1e-2
         # the degree-4 rule integrates quadratics exactly per element
         assert errs[2] <= 1e-12
+
+
+class TestCoefficientChecks:
+    BAD = [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (0.0, 0.0),
+           (-1.0, 0.0), (1.0, math.nan), (1.0, math.inf), (1.0, -1.0)]
+
+    @pytest.mark.parametrize("alpha,beta", BAD)
+    def test_constant_path_refuses(self, mesh2, alpha, beta):
+        field = CoefficientField(alpha=ones, beta=ones, const_alpha=alpha,
+                                 const_beta=beta)
+        with pytest.raises(CoefficientError):
+            assemble_stiffness(mesh2, field)
+
+    @pytest.mark.parametrize("alpha,beta", BAD)
+    def test_quadrature_path_refuses(self, mesh2, alpha, beta):
+        field = CoefficientField(
+            alpha=lambda x, y: np.full_like(x, alpha),
+            beta=lambda x, y: np.full_like(x, beta))
+        with pytest.raises(CoefficientError):
+            assemble_stiffness(mesh2, field)
+
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_one_bad_quadrature_point_is_enough(self, mesh2, which, bad):
+        def spoilt(x, y):
+            out = np.ones_like(x)
+            out.flat[7] = bad
+            return out
+        field = CoefficientField(**{"alpha": ones, "beta": ones, which: spoilt})
+        with pytest.raises(CoefficientError):
+            assemble_stiffness(mesh2, field)
+
+    def test_zero_beta_and_positive_alpha_pass(self, mesh2):
+        assemble_stiffness(mesh2, CoefficientField(
+            alpha=ones, beta=ones, const_alpha=1e-300, const_beta=0.0))
+        assemble_stiffness(mesh2, CoefficientField(
+            alpha=ones, beta=lambda x, y: np.zeros_like(x)))
+
+
+# Reference assembly: one plain formula per quantity, on the (T, 3, 2)
+# array nodes[triangles]. The assembly must stay bit for bit equal to it
+# (see the assembly module docstring).
+
+REF_MASS_TEMPLATE = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+
+
+def ref_geometry(xy):
+    e1 = xy[:, 1] - xy[:, 0]
+    e2 = xy[:, 2] - xy[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    area = 0.5 * det
+    grads = np.empty_like(xy)
+    grads[:, 1, 0] = e2[:, 1] / det
+    grads[:, 1, 1] = -e2[:, 0] / det
+    grads[:, 2, 0] = -e1[:, 1] / det
+    grads[:, 2, 1] = e1[:, 0] / det
+    grads[:, 0] = -grads[:, 1] - grads[:, 2]
+    return area, grads
+
+
+def ref_quad_xy(mesh):
+    xy = mesh.nodes[mesh.triangles]
+    v0 = xy[:, 0][:, None, :]
+    e1 = (xy[:, 1] - xy[:, 0])[:, None, :]
+    e2 = (xy[:, 2] - xy[:, 0])[:, None, :]
+    return v0 + QUAD_POINTS[None, :, 0, None] * e1 + QUAD_POINTS[None, :, 1, None] * e2
+
+
+def ref_scatter(mesh, local):
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    N = mesh.num_nodes
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(N, N)).tocsr()
+
+
+def ref_mass(mesh):
+    area, _ = ref_geometry(mesh.nodes[mesh.triangles])
+    return ref_scatter(mesh, area[:, None, None] * REF_MASS_TEMPLATE[None])
+
+
+def ref_stiffness(mesh, coeff):
+    area, grads = ref_geometry(mesh.nodes[mesh.triangles])
+    gdot = np.einsum("tix,tjx->tij", grads, grads)
+    if coeff.is_constant:
+        local = (coeff.const_alpha * area)[:, None, None] * gdot
+        local += (coeff.const_beta * area)[:, None, None] * REF_MASS_TEMPLATE[None]
+        return ref_scatter(mesh, local)
+    pts = ref_quad_xy(mesh)
+    alpha_q = np.asarray(coeff.alpha(pts[..., 0], pts[..., 1]), dtype=float)
+    beta_q = np.asarray(coeff.beta(pts[..., 0], pts[..., 1]), dtype=float)
+    alpha_q = np.broadcast_to(alpha_q, pts.shape[:2]).copy()
+    beta_q = np.broadcast_to(beta_q, pts.shape[:2]).copy()
+    abar = alpha_q @ QUAD_WEIGHTS
+    local = (area * abar)[:, None, None] * gdot
+    wb = beta_q * QUAD_WEIGHTS
+    local += area[:, None, None] * np.einsum("tq,qi,qj->tij", wb, QUAD_PHI, QUAD_PHI)
+    return ref_scatter(mesh, local)
+
+
+def ref_load(mesh, f):
+    area, _ = ref_geometry(mesh.nodes[mesh.triangles])
+    pts = ref_quad_xy(mesh)
+    f_q = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
+    f_q = np.broadcast_to(f_q, pts.shape[:2]).copy()
+    local = area[:, None] * np.einsum("tq,q,qi->ti", f_q, QUAD_WEIGHTS, QUAD_PHI)
+    out = np.zeros(mesh.num_nodes)
+    np.add.at(out, mesh.triangles.ravel(), local.ravel())
+    return out
+
+
+def assert_same_bits(a, b):
+    """a == b entry by entry, and stricter: the bit patterns match, so
+    -0.0 and 0.0 count as different."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_csr(A, B):
+    for name in ("data", "indices", "indptr"):
+        assert_same_bits(getattr(A, name), getattr(B, name))
+
+
+# Fields that take the quadrature path with results the assembly must
+# broadcast: a scalar, and a (T, 1) column.
+ODD_SHAPES = {
+    "scalar": CoefficientField(alpha=lambda x, y: 1.5, beta=lambda x, y: 0.25),
+    "column": CoefficientField(alpha=lambda x, y: 1.0 + 0.0 * x[:, :1],
+                               beta=lambda x, y: np.abs(y[:, :1])),
+}
+
+
+def forcing_profiles():
+    """Each forcing profile of the four problems with both coefficient
+    presets that fit them, plus the summed forcing g at one time."""
+    fields = {"diffusion": ("constant-diffusion", "variable-beta-zero"),
+              "wave": ("constant-diffusion", "variable-beta-zero"),
+              "pennes": ("constant-ones", "variable"),
+              "klein-gordon": ("constant-ones", "variable")}
+    out = {}
+    for name in PROBLEM_NAMES:
+        for preset in fields[name]:
+            problem = mms_problem(name, preset)
+            for m, (_, p) in enumerate(problem.forcing):
+                out[f"{name}-{preset}-mode{m}"] = p
+            out[f"{name}-{preset}-g"] = (
+                lambda x, y, g=problem.g: g(x, y, 0.37))
+    return out
+
+
+def oracle_mesh(k, jitter):
+    """build_mesh(k), or with jitter its nodes moved by up to h/5 at
+    random: on the uniform mesh every gradient is 0 or +-1/h, a power of
+    two, so its products and sums are exact whatever their order."""
+    mesh = build_mesh(k)
+    if not jitter:
+        return mesh
+    rng = np.random.default_rng(k)
+    return replace(mesh, nodes=mesh.nodes + rng.uniform(
+        -0.2 * mesh.h, 0.2 * mesh.h, mesh.nodes.shape))
+
+
+MESHES = [(k, jitter) for k in (1, 2, 3, 4, 5) for jitter in (False, True)]
+
+
+class TestBitForBit:
+    @pytest.mark.parametrize("k,jitter", MESHES)
+    def test_mass(self, k, jitter):
+        mesh = oracle_mesh(k, jitter)
+        assert_same_csr(assemble_mass(mesh), ref_mass(mesh))
+
+    @pytest.mark.parametrize("k,jitter", MESHES)
+    def test_stiffness(self, k, jitter):
+        mesh = oracle_mesh(k, jitter)
+        fields = [coefficient_preset(name) for name in PRESETS]
+        for coeff in fields + list(ODD_SHAPES.values()):
+            assert_same_csr(assemble_stiffness(mesh, coeff),
+                            ref_stiffness(mesh, coeff))
+
+    @pytest.mark.parametrize("k,jitter", MESHES)
+    def test_load(self, k, jitter):
+        mesh = oracle_mesh(k, jitter)
+        profiles = dict(forcing_profiles(), scalar=lambda x, y: 2.5,
+                        column=lambda x, y: x[:, :1] ** 2)
+        for f in profiles.values():
+            assert_same_bits(assemble_load(mesh, f), ref_load(mesh, f))
+
+    def test_load_calls_f_once_on_contiguous_points(self):
+        mesh = build_mesh(3)
+        calls = []
+
+        def f(x, y):
+            calls.append((x.shape, y.shape, x.dtype, y.dtype,
+                          x.flags.c_contiguous, y.flags.c_contiguous))
+            return x * y
+
+        assemble_load(mesh, f)
+        shape = (mesh.num_triangles, len(QUAD_WEIGHTS))
+        assert calls == [(shape, shape, np.float64, np.float64, True, True)]
 
 
 class TestMatrixMarket:

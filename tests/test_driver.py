@@ -376,3 +376,79 @@ class TestForcingModes:
                                    problem.mu, t_prev, u, udot, problem.g, F=F)
         assert (np.linalg.norm(seen[0] - expected)
                 <= 1e-13 * np.linalg.norm(expected))
+
+
+def closed_forms(name, coeff):
+    """Reference closed forms of mms_problem's manufactured problem, each
+    function its own plain formula, w and grad w recomputed wherever they
+    appear: (exact, exact_dt, apply_K, g, forcing). mms_problem must stay
+    bit for bit equal to them."""
+    pi = np.pi
+
+    def w(x, y):
+        return np.cos(pi * x) * np.cos(pi * y)
+
+    def grad_w(x, y):
+        return (-pi * np.sin(pi * x) * np.cos(pi * y),
+                -pi * np.cos(pi * x) * np.sin(pi * y))
+
+    if name in ("diffusion", "pennes"):
+        T, dT = (lambda t: math.exp(-t)), (lambda t: -math.exp(-t))
+        dmuT = dT
+    else:
+        T, dT = (lambda t: math.cos(t)), (lambda t: -math.sin(t))
+        dmuT = lambda t: -math.cos(t)
+
+    def K_of_w(x, y):
+        gax, gay = coeff.grad_alpha(x, y)
+        wx, wy = grad_w(x, y)
+        return (2.0 * pi ** 2 * coeff.alpha(x, y) * w(x, y)
+                - gax * wx - gay * wy + coeff.beta(x, y) * w(x, y))
+
+    def g(x, y, t):
+        out = np.zeros_like(np.asarray(x, dtype=float))
+        return out + dmuT(t) * w(x, y) + T(t) * K_of_w(x, y)
+
+    return (lambda x, y, t: T(t) * w(x, y),
+            lambda x, y, t: dT(t) * w(x, y),
+            lambda x, y, t: T(t) * K_of_w(x, y),
+            g, ((dmuT, w), (T, K_of_w)))
+
+
+def same_bits(a, b):
+    """a == b entry by entry, and the bit patterns match too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            and a.tobytes() == b.tobytes())
+
+
+@pytest.fixture(scope="module")
+def quad_points_k5():
+    """The x and y of the degree-4 rule's points on build_mesh(5), the
+    C-contiguous (T, 6) arrays assembly hands to a forcing profile."""
+    seen = []
+
+    def record(x, y):
+        seen.append((x, y))
+        return x
+
+    assembly.assemble_load(build_mesh(5), record)
+    return seen[0]
+
+
+class TestForcingClosedForms:
+    @pytest.mark.parametrize("name,preset", [
+        (name, preset) for name in sorted(MATCHING_PRESETS)
+        for preset in MATCHING_PRESETS[name]])
+    def test_bit_for_bit(self, quad_points_k5, name, preset):
+        x, y = quad_points_k5
+        problem = mms_problem(name, preset)
+        exact, exact_dt, apply_K, g, forcing = closed_forms(name, problem.coeff)
+        for (a, p), (a_ref, p_ref) in zip(problem.forcing, forcing, strict=True):
+            assert same_bits(p(x, y), p_ref(x, y))
+            assert all(a(t) == a_ref(t) for t in (0.0, 0.37, 1.9))
+        for t in (0.0, 0.37, 1.9):
+            assert same_bits(problem.exact(x, y, t), exact(x, y, t))
+            assert same_bits(problem.exact_dt(x, y, t), exact_dt(x, y, t))
+            assert same_bits(problem.apply_K(x, y, t), apply_K(x, y, t))
+            assert same_bits(problem.g(x, y, t), g(x, y, t))
