@@ -5,9 +5,10 @@ GMRES diagnostics used to evaluate them."""
 from .analysis import (FovResult, SpectrumResult, butcher_kappa,
                        condition_number, condition_number_iterative,
                        field_of_values, spectrum)
-from .assembly import (CoefficientField, assemble_load, assemble_mass,
-                       assemble_stiffness, coefficient_preset,
-                       read_matrix_market, write_matrix_market)
+from .assembly import (CoefficientField, Forcing, assemble_load,
+                       assemble_loads, assemble_mass, assemble_stiffness,
+                       coefficient_preset, read_matrix_market,
+                       write_matrix_market)
 from .butcher import (ButcherTableau, LduFactors, PreconditionerKind,
                       TableauKind, butcher_preconditioner_matrix,
                       gauss_legendre, ldu, nystrom_from, radau_iia,

@@ -18,6 +18,12 @@ load entries by 1e-16) is not: M, F and every stage right-hand side feed
 every row the CLI reports, and the golden rows
 (tests/data/golden_rows.json) compare those rows by exact equality.
 tests/test_assembly.py keeps the plain formulas as references.
+
+Loads have one path, assemble_loads: the geometry and the quadrature
+points once, then one contraction and one scatter per profile. Every
+stage right-hand side goes through it (stageop.build_stage_rhs). At k=6
+the joint pass over driver.mms_problem's two forcing modes takes about
+25 ms with one BLAS thread on a 2-core x86_64 host.
 """
 
 from dataclasses import dataclass
@@ -96,11 +102,12 @@ def _quad_coord(v0, e1, e2):
     return out
 
 
-def _at_quad_points(fn, xq, yq):
-    """fn(xq, yq) as a C-contiguous float (T, Q) array; a result of another
+def _point_values(values, shape):
+    """values (of a field or a profile at the quadrature points) as a
+    C-contiguous float array of the points' shape; a result of another
     shape (a scalar, say) is broadcast and copied."""
-    out = np.asarray(fn(xq, yq), dtype=float)
-    return np.ascontiguousarray(np.broadcast_to(out, xq.shape))
+    out = np.asarray(values, dtype=float)
+    return np.ascontiguousarray(np.broadcast_to(out, shape))
 
 
 def _stiffness_local(area, gx, gy, alpha_q, beta_q):
@@ -226,22 +233,57 @@ def assemble_stiffness(mesh, coeff):
         return _scatter(mesh, local)
 
     xq, yq = _quad_coord(*ex), _quad_coord(*ey)
-    alpha_q = _at_quad_points(coeff.alpha, xq, yq)
-    beta_q = _at_quad_points(coeff.beta, xq, yq)
+    alpha_q = _point_values(coeff.alpha(xq, yq), xq.shape)
+    beta_q = _point_values(coeff.beta(xq, yq), xq.shape)
     _check_coefficients(alpha_q, beta_q)
     local = _stiffness_local(area, gx, gy, alpha_q, beta_q)
     return _scatter(mesh, local)
 
 
-def assemble_load(mesh, f):
-    """Load vector of <f, phi_l> with the same degree-4 quadrature; f is
-    called once, on two C-contiguous (T, Q) arrays of point coordinates."""
+@dataclass(frozen=True)
+class Forcing:
+    """A separable forcing g(x, y, t) = sum_m a_m(t) p_m(x, y). The a_m
+    are functions of time alone; profiles(x, y) yields p_0(x, y),
+    p_1(x, y), ... in mode order from one joint evaluation, so the modes
+    may share work (driver.mms_problem's w and K w share their cosines).
+    """
+
+    amplitudes: tuple        # (a_0(t), a_1(t), ...)
+    profiles: Callable       # (x, y) -> iterable of p_m(x, y), in mode order
+
+    def __call__(self, x, y, t):
+        """g(x, y, t): zeros shaped like x plus each a_m(t) p_m(x, y) in
+        mode order."""
+        out = np.zeros_like(np.asarray(x, dtype=float))
+        for a, p in zip(self.amplitudes, self.profiles(x, y), strict=True):
+            out = out + a(t) * p
+        return out
+
+
+def assemble_loads(mesh, profiles):
+    """Load vectors <f_m, phi_l> of several profiles with the same degree-4
+    quadrature, one row each of an m x N array. The geometry and the
+    quadrature points are made once; profiles(x, y) is called once, on
+    two C-contiguous (T, Q) arrays of point coordinates, and yields the
+    f_m values in turn. Each is contracted and scattered before the next
+    is asked for, so a generator can drop its own (T, Q) arrays between
+    profiles."""
     ex, ey, det = _geometry(mesh)
     area = 0.5 * det
-    f_q = _at_quad_points(f, _quad_coord(*ex), _quad_coord(*ey))
-    local = area[:, None] * np.einsum("tq,q,qi->ti", f_q, QUAD_WEIGHTS, QUAD_PHI)
-    return np.bincount(mesh.triangles.ravel(), local.ravel(),
-                       minlength=mesh.num_nodes)
+    xq, yq = _quad_coord(*ex), _quad_coord(*ey)
+    loads = []
+    for f_q in profiles(xq, yq):
+        f_q = _point_values(f_q, xq.shape)
+        local = area[:, None] * np.einsum("tq,q,qi->ti", f_q, QUAD_WEIGHTS, QUAD_PHI)
+        loads.append(np.bincount(mesh.triangles.ravel(), local.ravel(),
+                                 minlength=mesh.num_nodes))
+        del f_q, local
+    return np.array(loads).reshape(-1, mesh.num_nodes)
+
+
+def assemble_load(mesh, f):
+    """Load vector of <f, phi_l>: assemble_loads of the one profile f."""
+    return assemble_loads(mesh, lambda x, y: (f(x, y),))[0]
 
 
 def write_matrix_market(matrix, path):

@@ -90,7 +90,8 @@ class ExperimentConfig:
 def validate(config):
     """Check the configuration up front; returns the list of grid cells
     above the command's DENSE_LIMIT (skipped with a warning by the
-    point-cloud commands)."""
+    point-cloud commands). Refuses a dense kappa cell above that limit
+    and an mms cell above krylov.DIRECT_GUARD."""
     for f in fields(config):
         choices = f.metadata.get("choices")
         if choices is None:
@@ -135,6 +136,12 @@ def validate(config):
     for s in config.stages:
         for k in config.mesh_k:
             n = s * nodes_at_level(k)
+            if config.command == "mms" and n > krylov.DIRECT_GUARD:
+                # the march solves every step exactly; refused before any
+                # mesh or matrix of the study is built
+                raise ConfigError(
+                    f"mms needs a direct solve, but s*N = {n} at (s={s}, k={k}) "
+                    f"exceeds the direct-solve guard {krylov.DIRECT_GUARD}")
             if limit is None or n <= limit:
                 continue
             if config.command != "kappa":

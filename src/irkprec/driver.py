@@ -7,12 +7,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import (assemble_load, assemble_mass, assemble_stiffness,
-                       coefficient_preset)
+from .assembly import (Forcing, assemble_loads, assemble_mass,
+                       assemble_stiffness, coefficient_preset)
 from .butcher import TableauKind, gauss_legendre, nystrom_from, radau_iia
 from .krylov import check_direct_size
 from .mesh import build_mesh
-from .stageop import StageOperator, _stage_rhs
+from .stageop import StageOperator, build_stage_rhs
 
 PROBLEM_NAMES = ("diffusion", "pennes", "wave", "klein-gordon")
 
@@ -21,12 +21,15 @@ PROBLEM_NAMES = ("diffusion", "pennes", "wave", "klein-gordon")
 class ProblemSpec:
     """A PDE instance with a manufactured exact solution and its forcing.
 
-    The forcing g is stored as separable modes: `forcing` is a tuple of
-    (a(t), p(x, y)) pairs and g(x, y, t) = sum_m a_m(t) p_m(x, y). A
-    manufactured solution u* = T(t) w(x, y) has g = T^(mu)(t) w + T(t) K w,
-    two fixed spatial profiles scaled by functions of time alone. Since the
-    load <g, phi> is linear in g, it is sum_m a_m(t) <p_m, phi>, so a march
-    assembles one load vector per mode instead of one per stage and step.
+    The forcing g is an assembly.Forcing: g(x, y, t) = sum_m a_m(t)
+    p_m(x, y), and it carries its modes. A manufactured solution
+    u* = T(t) w(x, y) has g = T^(mu)(t) w + T(t) K w, two fixed spatial
+    profiles scaled by functions of time alone. Since the load <g, phi>
+    is linear in g, every stage load is sum_m a_m(t) <p_m, phi>:
+    stageop.build_stage_rhs assembles the two mode loads in one joint
+    pass (about 25 ms at k=6, whatever s is) and combines them, for
+    `gmres`' one step as for every step of a march. Called as a function,
+    g gives the values of the summed forcing.
     """
 
     name: str
@@ -36,15 +39,7 @@ class ProblemSpec:
     exact_dt: Callable       # du*/dt
     exact_dmu: Callable      # mu-th time derivative of u*
     apply_K: Callable        # (K u*)(x, y, t) in closed form
-    forcing: tuple           # ((a(t), p(x, y)), ...) with g = sum a p
-
-    def g(self, x, y, t):
-        """Forcing so that d^mu u/dt^mu = -K u + g; zeros shaped like x
-        when there are no modes."""
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for a, p in self.forcing:
-            out = out + a(t) * p(x, y)
-        return out
+    g: Forcing               # forcing so that d^mu u/dt^mu = -K u + g
 
     def pde_residual(self, x, y, t):
         """Sampled residual g - d^mu u*/dt^mu - K u* (zero for a correct
@@ -97,9 +92,6 @@ def mms_problem(name, coeff):
 
     pi = np.pi
 
-    def w(x, y):
-        return np.cos(pi * x) * np.cos(pi * y)
-
     if mu == 1:
         T = lambda t: math.exp(-t)
         dT = lambda t: -math.exp(-t)
@@ -109,21 +101,32 @@ def mms_problem(name, coeff):
         dT = lambda t: -math.sin(t)
         dmuT = lambda t: -math.cos(t)
 
-    def K_of_w(x, y):
-        # K(w) = -alpha Lap w - grad alpha . grad w + beta w, Lap w = -2 pi^2 w.
-        # w and grad w share one cos and one sin per coordinate; each value
-        # is the product w(x, y) or -pi sin cos would form on its own. The
-        # shared arrays are dropped before the sum: kept alive to the end,
-        # they raised the peak RSS of the k=3..6 marches by about 2 MB.
+    def profiles(x, y):
+        # w, then K w = -alpha Lap w - grad alpha . grad w + beta w with
+        # Lap w = -2 pi^2 w. They share one cos and one sin per coordinate;
+        # each value is the product w(x, y) or -pi sin cos would form on its
+        # own. w is yielded (and its load contracted) before the gradient
+        # terms are formed, and each shared array is dropped once its last
+        # use is made: kept alive longer, they raised the peak RSS of the
+        # k=3..6 marches by about 2 MB.
         px, py = pi * x, pi * y
         cx, cy = np.cos(px), np.cos(py)
-        wx = -pi * np.sin(px) * cy
-        wy = -pi * cx * np.sin(py)
         w_xy = cx * cy
-        del px, py, cx, cy
+        yield w_xy
+        wx = -pi * np.sin(px) * cy
+        del px
+        wy = -pi * cx * np.sin(py)
+        del py, cx, cy
         gax, gay = coeff.grad_alpha(x, y)
-        return (2.0 * pi ** 2 * coeff.alpha(x, y) * w_xy
-                - gax * wx - gay * wy + coeff.beta(x, y) * w_xy)
+        yield (2.0 * pi ** 2 * coeff.alpha(x, y) * w_xy
+               - gax * wx - gay * wy + coeff.beta(x, y) * w_xy)
+
+    def w(x, y):
+        return np.cos(pi * x) * np.cos(pi * y)
+
+    def K_of_w(x, y):
+        _, Kw = profiles(x, y)
+        return Kw
 
     return ProblemSpec(
         name=name, mu=mu, coeff=coeff,
@@ -131,7 +134,7 @@ def mms_problem(name, coeff):
         exact_dt=lambda x, y, t: dT(t) * w(x, y),
         exact_dmu=lambda x, y, t: dmuT(t) * w(x, y),
         apply_K=lambda x, y, t: T(t) * K_of_w(x, y),
-        forcing=((dmuT, w), (T, K_of_w)),
+        g=Forcing((dmuT, T), profiles),
     )
 
 
@@ -159,21 +162,18 @@ def advance(state, tableau, k):
 
 
 def forcing_loads(problem, mesh):
-    """The load vectors <p_m, phi> of the forcing modes, an m x N array."""
-    return np.array([assemble_load(mesh, p) for _, p in problem.forcing]
-                    ).reshape(-1, mesh.num_nodes)
+    """The load vectors <p_m, phi> of the forcing modes, an m x N array
+    made in one assemble_loads pass."""
+    return assemble_loads(mesh, problem.g.profiles)
 
 
 def _step(state, tableau, op, solver, problem, mesh, loads):
-    """Solve the stage system of one step, then advance. Stage i's load
-    is sum_m a_m(t + c_i h_t) L_m over the mode loads L = `loads`
-    (assembled here when None)."""
-    if loads is None:
-        loads = forcing_loads(problem, mesh)
-    times = state.t + tableau.c * state.h_t
-    scales = np.array([[a(t) for a, _ in problem.forcing] for t in times])
-    rhs = _stage_rhs(scales @ loads, op.F, tableau.c, state.h_t, problem.mu,
-                     state.u, state.udot)
+    """Solve the stage system of one step, then advance. The stage
+    right-hand side is build_stage_rhs's over the mode loads `loads`
+    (assembled there when None)."""
+    rhs = build_stage_rhs(mesh, problem.coeff, tableau, state.h_t, problem.mu,
+                          state.t, state.u, state.udot, problem.g, F=op.F,
+                          loads=loads)
     k, report = solver(op, rhs)
     return advance(state, tableau, k), report
 
@@ -217,9 +217,10 @@ def integrate(problem, tableau, mesh, h_t, t_end, solver=direct_solver,
     final time is hit exactly (the actual step is t_end / ceil(t_end/h_t),
     never larger than the requested h_t).
 
-    The forcing modes' loads are assembled once per call, before the
-    first step (and so before the solver factors), and every stage load
-    of the march is a combination of them."""
+    The forcing modes' loads are assembled once per call, in one joint
+    pass before the first step (and so before the solver factors); each
+    step hands them to build_stage_rhs, which forms every stage load of
+    the march as a combination of them."""
     if M is None:
         M = assemble_mass(mesh)
     if F is None:

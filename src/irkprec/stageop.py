@@ -39,7 +39,7 @@ from scipy.linalg import schur
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 from scipy.sparse.linalg import splu
 
-from .assembly import assemble_load, assemble_stiffness
+from .assembly import Forcing, assemble_loads, assemble_stiffness
 from .butcher import ButcherTableau
 from .errors import FactorizationError, ResourceLimitError
 
@@ -258,38 +258,41 @@ class StageOperator:
 
 
 def build_stage_rhs(mesh, coeff, tableau, h_t, mu, t_prev, u_prev,
-                    udot_prev=None, g=None, F=None):
-    """Stage right-hand side blocks for one step starting at t_prev.
+                    udot_prev=None, g=None, F=None, loads=None):
+    """Stage right-hand side blocks for one step starting at t_prev: the
+    one path by which `gmres` and the march (driver._step) form them.
 
-    Block i is <g(., t_prev + c_i h_t), phi> - F (u_prev + (mu-1) h_t c_i
-    udot_prev): the weak form of the stage equations with the previous
-    solution moved to the right under the operator K (the data enters
-    through -K, not additively). Assembles one load per stage from the
-    callable g; `driver.integrate` instead combines loads it assembled
-    once per forcing mode.
+    Block i is <g(., t_i), phi> - F (u_prev + (mu-1) h_t c_i udot_prev),
+    t_i = t_prev + c_i h_t: the weak form of the stage equations with the
+    previous solution moved to the right under the operator K (the data
+    enters through -K, not additively).
 
-    One stage load is one assemble_load call: one gather of the vertex
-    coordinates, the (T, 6) quadrature points, one call of g on them, one
-    contraction over the points and one scatter into the N entries. The
-    call of g costs the most: for driver.mms_problem's forcing it makes six
-    (T, 6) sin/cos arrays (two for w, four for K w), plus what the
-    coefficient fields cost. At k=6 (T = 32768) one stage load takes about
-    25 ms with one BLAS thread on a 2-core x86_64 host; the cost grows 4x
-    per level.
+    For an assembly.Forcing g (driver.mms_problem's is one), the stage
+    loads are sum_m a_m(t_i) L_m, one product of the s x m amplitudes
+    with its mode loads L_m = <p_m, phi>: `loads` when given (a march
+    assembles them once), else one assemble_loads pass. Any other
+    callable g(x, y, t) is taken as s modes of its own, its slices
+    g(., ., t_i), each load used as it is.
+
+    The load pass is the cost; the combination and the F products are
+    O(s N). At k=6 (T = 32768, one BLAS thread, 2-core x86_64 host) the
+    pass over mms_problem's w and K w takes about 25 ms whatever s is,
+    against about 25 ms a stage when each stage load was assembled from
+    the summed g (55-80 ms in all at s=3). It grows 4x per level.
     """
     if mu == 2 and udot_prev is None:
         raise ValueError("udot_prev is required when mu = 2")
     if F is None:
         F = assemble_stiffness(mesh, coeff)
-    loads = np.array([assemble_load(mesh, lambda x, y: g(x, y, t_prev + ci * h_t))
-                      for ci in tableau.c])
-    return _stage_rhs(loads, F, tableau.c, h_t, mu, u_prev, udot_prev)
-
-
-def _stage_rhs(loads, F, c, h_t, mu, u_prev, udot_prev):
-    """The stage vector with block i = loads[i] - F (u_prev + (mu-1) h_t
-    c_i udot_prev), from an s x N array of stage loads."""
+    times = t_prev + tableau.c * h_t
+    if isinstance(g, Forcing):
+        if loads is None:
+            loads = assemble_loads(mesh, g.profiles)
+        scales = np.array([[a(t) for a in g.amplitudes] for t in times])
+        stage_loads = scales @ loads
+    else:
+        stage_loads = assemble_loads(mesh, lambda x, y: (g(x, y, t) for t in times))
     W = np.asarray(u_prev, dtype=float)[None, :]
     if mu == 2:
-        W = W + np.outer(h_t * c, np.asarray(udot_prev, dtype=float))
-    return (loads - (F @ W.T).T).ravel()
+        W = W + np.outer(h_t * tableau.c, np.asarray(udot_prev, dtype=float))
+    return (stage_loads - (F @ W.T).T).ravel()

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
 from irkprec import analysis
@@ -95,6 +96,26 @@ class TestConditionNumber:
             P = None if kind == "none" else butcher_preconditioner_matrix(t, kind)
             kappas = [condition_number_iterative(op, P, seed=seed) for seed in (0, 1, 2)]
             assert max(kappas) - min(kappas) <= 1e-8 * min(kappas), name
+
+    def test_unconverged_k1_lanczos_has_no_eigenvalue(self):
+        # what _sigma_max's eigsh call raises when it runs out of steps
+        A = sp.diags(np.linspace(1.0, 1.0001, 400))
+        with pytest.raises(spla.ArpackNoConvergence) as info:
+            spla.eigsh(A, k=1, which="LA", tol=1e-14, v0=np.ones(400), maxiter=1)
+        assert info.value.eigenvalues.size == 0
+
+    @pytest.mark.parametrize("partial", [[], [4.0]])
+    def test_iterative_raises_when_lanczos_does_not_converge(self, monkeypatch,
+                                                             partial):
+        # no kappa is made from a Lanczos run that did not converge, not
+        # even from an eigenvalue it reports as converged
+        def no_convergence(A, k, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.array(partial),
+                                           np.ones((A.shape[0], len(partial))))
+
+        monkeypatch.setattr(analysis.spla, "eigsh", no_convergence)
+        with pytest.raises(spla.ArpackNoConvergence):
+            condition_number_iterative(identity_operator(40))
 
     @pytest.mark.parametrize("kind", ["J", "GSL", "TRIU", "LD", "DU"])
     def test_dense_route_materializes_only_a(self, monkeypatch, kind):

@@ -311,8 +311,9 @@ def forcing_profiles():
     for name in PROBLEM_NAMES:
         for preset in fields[name]:
             problem = mms_problem(name, preset)
-            for m, (_, p) in enumerate(problem.forcing):
-                out[f"{name}-{preset}-mode{m}"] = p
+            for m in range(len(problem.g.amplitudes)):
+                out[f"{name}-{preset}-mode{m}"] = (
+                    lambda x, y, g=problem.g, m=m: list(g.profiles(x, y))[m])
             out[f"{name}-{preset}-g"] = (
                 lambda x, y, g=problem.g: g(x, y, 0.37))
     return out

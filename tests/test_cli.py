@@ -471,6 +471,25 @@ class TestMain:
         assert main(argv) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_oversized_mms_refused_before_any_mesh(self, capsys, monkeypatch):
+        # s N = 3 * 263169 at k=8 exceeds the direct-solve guard the march's
+        # first step would hit; the k=2 cell before it is not built either
+        def refuse(k):
+            pytest.fail(f"build_mesh({k}) called")
+
+        monkeypatch.setattr(driver, "build_mesh", refuse)
+        monkeypatch.setattr(cli, "build_mesh", refuse)
+        assert 3 * nodes_at_level(8) > cli.krylov.DIRECT_GUARD
+        assert main(["mms", "--stages", "3", "--mesh-k", "2,8"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: mms needs a direct solve" in err
+        assert "(s=3, k=8)" in err
+
+    def test_mms_under_the_direct_guard_passes_validate(self):
+        # s=2 at k=8 (526338) lies under the guard
+        assert 2 * nodes_at_level(8) <= cli.krylov.DIRECT_GUARD
+        assert validate(tiny_config(command="mms", stages=(2,), mesh_k=(8,))) == []
+
     @pytest.mark.parametrize("command", ["kappa", "gmres", "mms"])
     def test_out_checked_before_rows(self, tmp_path, capsys, monkeypatch, command):
         # a table whose --out cannot be opened is refused before any row runs

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
-from irkprec.assembly import (assemble_mass, assemble_stiffness,
+from irkprec.assembly import (Forcing, assemble_mass, assemble_stiffness,
                               coefficient_preset)
 from irkprec.butcher import TableauKind, gauss_legendre, nystrom_from, radau_iia
 from irkprec.driver import (ProblemSpec, StepperState, convergence_study,
@@ -15,7 +15,7 @@ from irkprec.driver import (ProblemSpec, StepperState, convergence_study,
                             timestep_rule)
 from irkprec import assembly, driver, stageop
 from irkprec.mesh import build_mesh
-from irkprec.stageop import StageOperator, build_stage_rhs
+from irkprec.stageop import StageOperator
 
 
 class TestTimestepRule:
@@ -37,6 +37,9 @@ def ones(x, y):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
+NO_FORCING = Forcing((), lambda x, y: ())
+
+
 def constant_profile_problem(mu, poly):
     """Problem whose exact solution is spatially constant: u* = T(t) with
     alpha = beta = 1, so g = T^(mu) + T."""
@@ -48,7 +51,7 @@ def constant_profile_problem(mu, poly):
         exact_dt=lambda x, y, t: dT(t) * np.ones_like(np.asarray(x, dtype=float)),
         exact_dmu=lambda x, y, t: dmuT(t) * np.ones_like(np.asarray(x, dtype=float)),
         apply_K=lambda x, y, t: T(t) * np.ones_like(np.asarray(x, dtype=float)),
-        forcing=((lambda t: dmuT(t) + T(t), ones),),
+        g=Forcing((lambda t: dmuT(t) + T(t),), lambda x, y: (ones(x, y),)),
     )
 
 
@@ -80,7 +83,7 @@ class TestIrkStep:
             exact_dt=lambda x, y, t: -T(t) * np.ones_like(np.asarray(x, dtype=float)),
             exact_dmu=lambda x, y, t: -T(t) * np.ones_like(np.asarray(x, dtype=float)),
             apply_K=lambda x, y, t: T(t) * np.ones_like(np.asarray(x, dtype=float)),
-            forcing=(),
+            g=NO_FORCING,
         )
         h_t = 0.3
         mesh, _, _ = setup_step(problem, 1, h_t)
@@ -136,7 +139,7 @@ class TestIrknStep:
             exact_dt=lambda x, y, t: np.zeros_like(np.asarray(x, dtype=float)),
             exact_dmu=lambda x, y, t: np.zeros_like(np.asarray(x, dtype=float)),
             apply_K=lambda x, y, t: np.zeros_like(np.asarray(x, dtype=float)),
-            forcing=(),
+            g=NO_FORCING,
         )
         mesh = build_mesh(1)
         M = assemble_mass(mesh)
@@ -287,20 +290,22 @@ class TestIntegration:
         assert len(calls) == 1
 
     def test_integrate_assembles_each_forcing_mode_once(self, monkeypatch):
-        # one load per forcing mode for the whole march, not one per stage
-        # per step
+        # one joint pass over the forcing modes for the whole march, not one
+        # load per stage per step
         calls = []
 
-        def counting_load(mesh, f):
-            calls.append(mesh.num_nodes)
-            return assembly.assemble_load(mesh, f)
+        def counting_loads(mesh, profiles):
+            loads = assembly.assemble_loads(mesh, profiles)
+            calls.append(loads.shape)
+            return loads
 
-        monkeypatch.setattr(driver, "assemble_load", counting_load)
-        monkeypatch.setattr(stageop, "assemble_load", counting_load)
+        monkeypatch.setattr(driver, "assemble_loads", counting_loads)
+        monkeypatch.setattr(stageop, "assemble_loads", counting_loads)
         problem = mms_problem("diffusion", "constant-diffusion")
-        state, _ = integrate(problem, radau_iia(2), build_mesh(2), 0.1, 0.5)
+        mesh = build_mesh(2)
+        state, _ = integrate(problem, radau_iia(2), mesh, 0.1, 0.5)
         assert round(state.t / state.h_t) == 5
-        assert len(calls) == len(problem.forcing) == 2
+        assert calls == [(2, mesh.num_nodes)]
 
     def test_quick_convergence_order(self):
         study = convergence_study("diffusion", "constant-diffusion", 2,
@@ -334,12 +339,13 @@ class TestForcingModes:
         problem = mms_problem("pennes", "variable")
         rng = np.random.default_rng(4)
         x, y = rng.uniform(-1, 1, (2, 50))
-        expected = sum(a(0.3) * p(x, y) for a, p in problem.forcing)
+        expected = sum(a(0.3) * p for a, p in zip(problem.g.amplitudes,
+                                                  problem.g.profiles(x, y)))
         assert np.array_equal(problem.g(x, y, 0.3), expected)
 
     def test_no_modes_gives_zeros_shaped_like_x(self):
         problem = replace(constant_profile_problem(1, (lambda t: 0.0,) * 3),
-                          forcing=())
+                          g=NO_FORCING)
         x = np.ones((3, 4))
         assert np.array_equal(problem.g(x, x, 1.0), np.zeros((3, 4)))
         assert forcing_loads(problem, build_mesh(1)).shape == (0, 25)
@@ -352,7 +358,8 @@ class TestForcingModes:
     def test_mode_loads_match_per_stage_assembly(self, name, variable, s,
                                                  t_prev, h_t, seed):
         # the stage rhs a step builds from the mode loads equals the one
-        # build_stage_rhs assembles stage by stage from problem.g
+        # assembled stage by stage from the summed forcing g, block i being
+        # <g(., t_i), phi> - F (u + (mu - 1) h_t c_i udot)
         problem = mms_problem(name, MATCHING_PRESETS[name][variable])
         mesh = build_mesh(2)
         tableau = method_tableau(name, s)
@@ -372,10 +379,31 @@ class TestForcingModes:
         step = irk_step if problem.mu == 1 else irkn_step
         step(state, tableau, op, capture, problem, mesh,
              forcing_loads(problem, mesh))
-        expected = build_stage_rhs(mesh, problem.coeff, tableau, h_t,
-                                   problem.mu, t_prev, u, udot, problem.g, F=F)
+        blocks = []
+        for ci in tableau.c:
+            t_i = t_prev + ci * h_t
+            load = assembly.assemble_load(mesh, lambda x, y: problem.g(x, y, t_i))
+            v = u if udot is None else u + h_t * ci * udot
+            blocks.append(load - F @ v)
+        expected = np.concatenate(blocks)
         assert (np.linalg.norm(seen[0] - expected)
                 <= 1e-13 * np.linalg.norm(expected))
+
+    @pytest.mark.parametrize("name,preset", [
+        (name, preset) for name in sorted(MATCHING_PRESETS)
+        for preset in MATCHING_PRESETS[name]])
+    def test_joint_mode_loads_match_each_mode_alone(self, name, preset):
+        # one joint pass gives each mode's load bit for bit as assembling
+        # that mode's closed form on its own does
+        problem = mms_problem(name, preset)
+        *_, forcing = closed_forms(name, problem.coeff)
+        for k in range(1, 6):
+            mesh = build_mesh(k)
+            joint = forcing_loads(problem, mesh)
+            alone = [assembly.assemble_load(mesh, p) for _, p in forcing]
+            assert len(joint) == len(alone) == 2
+            for got, want in zip(joint, alone):
+                assert same_bits(got, want)
 
 
 def closed_forms(name, coeff):
@@ -444,8 +472,10 @@ class TestForcingClosedForms:
         x, y = quad_points_k5
         problem = mms_problem(name, preset)
         exact, exact_dt, apply_K, g, forcing = closed_forms(name, problem.coeff)
-        for (a, p), (a_ref, p_ref) in zip(problem.forcing, forcing, strict=True):
-            assert same_bits(p(x, y), p_ref(x, y))
+        for a, p, (a_ref, p_ref) in zip(problem.g.amplitudes,
+                                        problem.g.profiles(x, y), forcing,
+                                        strict=True):
+            assert same_bits(p, p_ref(x, y))
             assert all(a(t) == a_ref(t) for t in (0.0, 0.37, 1.9))
         for t in (0.0, 0.37, 1.9):
             assert same_bits(problem.exact(x, y, t), exact(x, y, t))

@@ -3,12 +3,14 @@ and iterative routes) and `mms` on tiny grids of the four problems,
 compared with the recorded rows by exact equality, `time_s` dropped.
 
 A change that means to move digits re-records the file and names the
-fields it moved:
+fields it moved; --diff prints, per entry, the largest relative move of
+each float field and every other change before the file is rewritten:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [--diff]
 """
 
 import json
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -50,13 +52,51 @@ def rows_of(config):
                                   for row in rows]))
 
 
-def record():
+def moves(old_rows, new_rows):
+    """What moved between two recordings of one entry: {field: largest
+    relative move} over the float fields that changed, and the other
+    changes as (row, field, old, new), a changed row count as row None."""
+    rel, other = {}, []
+    if len(old_rows) != len(new_rows):
+        other.append((None, "rows", len(old_rows), len(new_rows)))
+    for i, (a, b) in enumerate(zip(old_rows, new_rows)):
+        for key in sorted(set(a) | set(b)):
+            x, y = a.get(key), b.get(key)
+            if x == y:
+                continue
+            if type(x) is float and type(y) is float:
+                rel[key] = max(rel.get(key, 0.0),
+                               abs(y - x) / abs(x) if x else float("inf"))
+            else:
+                other.append((i, key, x, y))
+    return rel, other
+
+
+def print_moves(old, new):
+    for name in sorted(set(old) | set(new)):
+        if name not in old or name not in new:
+            print(f"{name}: {'added' if name in new else 'removed'}")
+            continue
+        rel, other = moves(old[name]["rows"], new[name]["rows"])
+        if not rel and not other:
+            print(f"{name}: unchanged")
+            continue
+        print(f"{name}: " + ", ".join(f"{k} {v:.3g}" for k, v in sorted(rel.items())))
+        for change in other:
+            print(f"  row {change[0]} {change[1]}: {change[2]!r} -> {change[3]!r}")
+
+
+def record(diff=False):
+    rows = {name: rows_of(config) for name, config in grid().items()}
+    if diff and GOLDEN.exists():
+        print_moves(json.loads(GOLDEN.read_text()),
+                    {name: {"rows": r} for name, r in rows.items()})
     GOLDEN.parent.mkdir(exist_ok=True)
     entries = []
     for name, config in grid().items():
-        rows = ",\n  ".join(json.dumps(row) for row in rows_of(config))
+        lines = ",\n  ".join(json.dumps(row) for row in rows[name])
         entries.append(f"{json.dumps(name)}: {{\"config\": "
-                       f"{json.dumps(asdict(config))},\n \"rows\": [\n  {rows}]}}")
+                       f"{json.dumps(asdict(config))},\n \"rows\": [\n  {lines}]}}")
     GOLDEN.write_text("{" + ",\n".join(entries) + "}\n")  # one row a line
 
 
@@ -83,4 +123,4 @@ def test_rows_bit_identical(golden, name):
 
 
 if __name__ == "__main__":
-    record()
+    record(diff="--diff" in sys.argv[1:])

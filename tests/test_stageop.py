@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 from irkprec import stageop
-from irkprec.assembly import assemble_mass, assemble_stiffness, coefficient_preset
+from irkprec.assembly import (assemble_load, assemble_mass, assemble_stiffness,
+                              coefficient_preset)
 from irkprec.butcher import (butcher_preconditioner_matrix, gauss_legendre,
                              nystrom_from, radau_iia)
 from irkprec.driver import method_tableau, mms_problem, timestep_rule
@@ -440,3 +441,28 @@ class TestStageRhs:
         build_stage_rhs(mesh, coefficient_preset("constant-ones"), t, 0.5, 1,
                         2.0, np.zeros(mesh.num_nodes), g=g, F=F)
         assert np.allclose(sorted(seen), 2.0 + 0.5 * t.c, atol=1e-14)
+
+    @pytest.mark.parametrize("name,preset,s", [
+        ("diffusion", "variable-beta-zero", 3), ("pennes", "variable", 2),
+        ("wave", "constant-diffusion", 3), ("klein-gordon", "variable", 2)])
+    def test_bare_callable_matches_per_stage_assembly(self, name, preset, s):
+        # a bare g(x, y, t) is assembled one stage slice at a time, each
+        # load taken as it is: bit for bit the per-stage reference below
+        problem = mms_problem(name, preset)
+        mesh = build_mesh(3)
+        F = assemble_stiffness(mesh, problem.coeff)
+        tableau = method_tableau(name, s)
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal(mesh.num_nodes)
+        udot = rng.standard_normal(mesh.num_nodes) if problem.mu == 2 else None
+        t_prev, h_t = 0.3, 0.125
+        bare = lambda x, y, t: problem.g(x, y, t) + x * y * t
+        rhs = build_stage_rhs(mesh, problem.coeff, tableau, h_t, problem.mu,
+                              t_prev, u, udot, bare, F=F)
+        loads = np.array([assemble_load(mesh, lambda x, y: bare(x, y, t_prev + ci * h_t))
+                          for ci in tableau.c])
+        W = u[None, :]
+        if problem.mu == 2:
+            W = W + np.outer(h_t * tableau.c, udot)
+        expected = (loads - (F @ W.T).T).ravel()
+        assert rhs.tobytes() == expected.tobytes()
