@@ -8,6 +8,17 @@ import scipy.sparse as sp
 from .errors import ResourceLimitError
 
 MAX_LEVEL = 10  # n = 2^(k+1) subdivisions; k = 10 is ~4.2M nodes
+ND_LEAF_NODES = 16  # nested_dissection orders smaller rectangles row-major
+
+# The two triangles of each square, lower then upper, as (dx, dy) offsets
+# of their vertices from the square's lower-left node: the lower-left ->
+# upper-right diagonal splits it, and both triangles are positively
+# oriented.
+_SQUARE_HALVES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+
+# The 7-point P1 stencil of that split, as (dx, dy) node offsets in
+# increasing column order: node (x, y) couples with (x + dx, y + dy).
+_STENCIL = ((-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -15,7 +26,10 @@ class TriMesh:
     """Structured triangulation of [-1,1]^2.
 
     n squares per side, each split by its lower-left -> upper-right
-    diagonal; nodes ordered row-major by y then x.
+    diagonal; nodes ordered row-major by y then x, and triangles two per
+    square (lower, then upper), squares row-major by y then x. Assembly
+    relies on that layout, through stencil_layout(n), and only the nodes
+    may be moved (the jittered meshes of the assembly tests).
     """
 
     n: int
@@ -34,7 +48,8 @@ class TriMesh:
 
 
 def _check_level(k):
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    # bool is an int subclass, but True is no mesh level
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"mesh exponent k must be an integer >= 1, got {k!r}")
     if k > MAX_LEVEL:
         raise ResourceLimitError(f"mesh exponent k={k} exceeds guard {MAX_LEVEL}")
@@ -42,6 +57,7 @@ def _check_level(k):
 
 def nodes_at_level(k):
     """Node count N of the mesh build_mesh(k)."""
+    _check_level(k)
     return (2 ** (k + 1) + 1) ** 2
 
 
@@ -56,16 +72,12 @@ def _build_mesh_n(n):
     X, Y = np.meshgrid(xs, xs)
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    ix, iy = np.meshgrid(np.arange(n), np.arange(n))
-    ll = (iy * (n + 1) + ix).ravel()
-    lr = ll + 1
-    ul = ll + (n + 1)
-    ur = ul + 1
-    lower = np.column_stack([ll, lr, ur])
-    upper = np.column_stack([ll, ur, ul])
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
+    ll = _square_corners(n)
+    triangles = np.empty((n * n, 2, 3), dtype=np.int64)
+    for half, corners in enumerate(_SQUARE_HALVES):
+        for i, (dx, dy) in enumerate(corners):
+            triangles[:, half, i] = ll + dx + (n + 1) * dy
+    triangles = triangles.reshape(2 * n * n, 3)
 
     idx = np.arange((n + 1) ** 2)
     col = idx % (n + 1)
@@ -74,6 +86,91 @@ def _build_mesh_n(n):
 
     return TriMesh(n=n, h=2.0 / n, nodes=nodes, triangles=triangles,
                    boundary_nodes=boundary)
+
+
+def _square_corners(n):
+    """Lower-left node of each of the n^2 squares, rows of squares by y
+    then x, as the triangles are ordered."""
+    return (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+
+
+def stencil_layout(n):
+    """CSR pattern of the P1 matrices on the (n+1)^2 grid, and where each
+    element entry goes in it.
+
+    Returns (indptr, indices, slots): indptr and indices are the pattern
+    scipy's COO -> CSR conversion gives (sorted columns, the full 7-point
+    stencil of every node, boundary rows shorter), and slots[t, 3 i + j]
+    is the position in indices of the entry (triangles[t, i],
+    triangles[t, j]) for the triangles of build_mesh's mesh with n
+    squares per side. Computed from n by index arithmetic alone, so
+    nothing needs caching between calls.
+    """
+    side = n + 1
+    N = side * side
+    x = np.arange(side)
+    dx, dy = (np.array(d)[:, None] for d in zip(*_STENCIL))
+    # inside[o, y * side + x]: node (x, y) has its neighbour (x + dx_o, y + dy_o)
+    inside = (((0 <= x + dy) & (x + dy <= n))[:, :, None]
+              & ((0 <= x + dx) & (x + dx <= n))[:, None, :]).reshape(len(_STENCIL), N)
+    # position[o, p]: where entry (p, p + dx_o + side dy_o) is in indices
+    position = np.cumsum(inside, axis=0)
+    indptr = np.zeros(N + 1, dtype=np.int64)
+    np.cumsum(position[-1], out=indptr[1:])
+    position += indptr[:-1] - 1
+    indices = (np.arange(N) + (dx + side * dy)).T[inside.T]
+
+    # slots[square, half, i, j] = position[o, corner_i], o the offset from
+    # corner i to corner j, one gather at corner_i = square's node + a constant
+    column = {d: o for o, d in enumerate(_STENCIL)}
+    lookup = np.array([[[N * column[xj - xi, yj - yi] + xi + side * yi
+                         for xj, yj in corners] for xi, yi in corners]
+                       for corners in _SQUARE_HALVES])
+    slots = position.ravel()[_square_corners(n)[:, None, None, None] + lookup]
+    return indptr, indices, slots.reshape(2 * n * n, 9)
+
+
+def in_stencil(n, rows, cols):
+    """Whether each pair (rows[i], cols[i]) of nodes of the (n+1)^2 grid
+    is a node with itself or with one of its stencil neighbours, i.e. an
+    entry of the pattern of stencil_layout(n)."""
+    (y0, x0), (y1, x1) = np.divmod(rows, n + 1), np.divmod(cols, n + 1)
+    dx, dy = x1 - x0, y1 - y0
+    if not np.all((np.abs(dx) <= 1) & (np.abs(dy) <= 1)):
+        return False
+    coupled = np.zeros((3, 3), dtype=bool)
+    for sx, sy in _STENCIL:
+        coupled[sy + 1, sx + 1] = True
+    return bool(np.all(coupled[dy + 1, dx + 1]))
+
+
+def nested_dissection(n):
+    """Nested-dissection order of the (n+1)^2 grid's nodes (George 1973):
+    each rectangle of nodes is cut across its longer side by its middle
+    grid line, a separator (no stencil edge joins nodes on both sides of
+    it), and ordered as its two halves (recursively) and then that line. Rectangles of at most
+    ND_LEAF_NODES nodes keep their row-major order. Returns node indices,
+    order[i] being the node eliminated i-th."""
+    pieces = []
+
+    def dissect(block):
+        rows, cols = block.shape
+        if rows * cols <= ND_LEAF_NODES:
+            pieces.append(block.ravel())
+            return
+        if cols >= rows:
+            m = cols // 2
+            dissect(block[:, :m])
+            dissect(block[:, m + 1:])
+            pieces.append(block[:, m])
+        else:
+            m = rows // 2
+            dissect(block[:m])
+            dissect(block[m + 1:])
+            pieces.append(block[m])
+
+    dissect(np.arange((n + 1) ** 2).reshape(n + 1, n + 1))
+    return np.concatenate(pieces)
 
 
 @dataclass(frozen=True)

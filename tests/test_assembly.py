@@ -11,7 +11,7 @@ from irkprec.assembly import (PRESETS, QUAD_PHI, QUAD_POINTS, QUAD_WEIGHTS,
                               read_matrix_market, write_matrix_market)
 from irkprec.driver import PROBLEM_NAMES, mms_problem
 from irkprec.errors import CoefficientError
-from irkprec.mesh import build_mesh
+from irkprec.mesh import build_mesh, stencil_layout
 
 
 @pytest.fixture(scope="module")
@@ -234,26 +234,42 @@ def ref_quad_xy(mesh):
     return v0 + QUAD_POINTS[None, :, 0, None] * e1 + QUAD_POINTS[None, :, 1, None] * e2
 
 
-def ref_scatter(mesh, local):
+def element_entries(mesh):
+    """Row and column of each local entry, in local.ravel() order: entry
+    (t, i, j) of a (T, 3, 3) local array is (triangles[t, i], triangles[t, j])."""
     tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
+    return np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()
+
+
+def coo_scatter(mesh, local):
+    """scipy's COO -> CSR, which sums the duplicates in its own order."""
+    rows, cols = element_entries(mesh)
     N = mesh.num_nodes
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(N, N)).tocsr()
 
 
-def ref_mass(mesh):
+def ref_scatter(mesh, local):
+    """COO -> CSR's pattern, each entry the sum of its element terms in
+    element order (np.add.at adds one term at a time, in index order)."""
+    rows, cols = element_entries(mesh)
+    A = coo_scatter(mesh, np.zeros(local.shape))
+    keys = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)) * A.shape[0] + A.indices
+    np.add.at(A.data, np.searchsorted(keys, rows * A.shape[0] + cols), local.ravel())
+    return A
+
+
+def ref_mass(mesh, scatter=ref_scatter):
     area, _ = ref_geometry(mesh.nodes[mesh.triangles])
-    return ref_scatter(mesh, area[:, None, None] * REF_MASS_TEMPLATE[None])
+    return scatter(mesh, area[:, None, None] * REF_MASS_TEMPLATE[None])
 
 
-def ref_stiffness(mesh, coeff):
+def ref_stiffness(mesh, coeff, scatter=ref_scatter):
     area, grads = ref_geometry(mesh.nodes[mesh.triangles])
     gdot = np.einsum("tix,tjx->tij", grads, grads)
     if coeff.is_constant:
         local = (coeff.const_alpha * area)[:, None, None] * gdot
         local += (coeff.const_beta * area)[:, None, None] * REF_MASS_TEMPLATE[None]
-        return ref_scatter(mesh, local)
+        return scatter(mesh, local)
     pts = ref_quad_xy(mesh)
     alpha_q = np.asarray(coeff.alpha(pts[..., 0], pts[..., 1]), dtype=float)
     beta_q = np.asarray(coeff.beta(pts[..., 0], pts[..., 1]), dtype=float)
@@ -263,7 +279,7 @@ def ref_stiffness(mesh, coeff):
     local = (area * abar)[:, None, None] * gdot
     wb = beta_q * QUAD_WEIGHTS
     local += area[:, None, None] * np.einsum("tq,qi,qj->tij", wb, QUAD_PHI, QUAD_PHI)
-    return ref_scatter(mesh, local)
+    return scatter(mesh, local)
 
 
 def ref_load(mesh, f):
@@ -356,6 +372,17 @@ class TestBitForBit:
         for f in profiles.values():
             assert_same_bits(assemble_load(mesh, f), ref_load(mesh, f))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_uniform_constant_matrices_equal_coo_to_csr(self, k):
+        # on the uniform mesh every element term of a constant preset is
+        # exact, so any summation order, scipy's included, gives its bits
+        mesh = build_mesh(k)
+        assert_same_csr(assemble_mass(mesh), ref_mass(mesh, coo_scatter))
+        for coeff in map(coefficient_preset, PRESETS):
+            if coeff.is_constant:
+                assert_same_csr(assemble_stiffness(mesh, coeff),
+                                ref_stiffness(mesh, coeff, coo_scatter))
+
     def test_load_calls_f_once_on_contiguous_points(self):
         mesh = build_mesh(3)
         calls = []
@@ -368,6 +395,26 @@ class TestBitForBit:
         assemble_load(mesh, f)
         shape = (mesh.num_triangles, len(QUAD_WEIGHTS))
         assert calls == [(shape, shape, np.float64, np.float64, True, True)]
+
+
+class TestStencilLayout:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_pattern_is_that_of_coo_to_csr(self, k):
+        mesh = build_mesh(k)
+        indptr, indices, _ = stencil_layout(mesh.n)
+        A = coo_scatter(mesh, np.ones((mesh.num_triangles, 3, 3)))
+        assert np.array_equal(indptr, A.indptr)
+        assert np.array_equal(indices, A.indices)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_every_slot_lands_on_its_entry(self, k):
+        mesh = build_mesh(k)
+        indptr, indices, slots = stencil_layout(mesh.n)
+        assert slots.shape == (mesh.num_triangles, 9)
+        rows, cols = element_entries(mesh)
+        slot_rows = np.repeat(np.arange(mesh.num_nodes), np.diff(indptr))
+        assert np.array_equal(slot_rows[slots.ravel()], rows)
+        assert np.array_equal(indices[slots.ravel()], cols)
 
 
 class TestMatrixMarket:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from irkprec.errors import ResourceLimitError
-from irkprec.mesh import (MAX_LEVEL, build_hierarchy, build_mesh, nodes_at_level,
-                          read_mesh_text, write_mesh_text)
+from irkprec.mesh import (MAX_LEVEL, build_hierarchy, build_mesh, nested_dissection,
+                          nodes_at_level, read_mesh_text, write_mesh_text)
 
 
 def signed_areas(mesh):
@@ -43,6 +43,15 @@ class TestBuildMesh:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             build_mesh(0)
+
+    @pytest.mark.parametrize("k", [True, np.True_, 2.5, 2.0, "2", None])
+    def test_non_integer_levels_refused(self, k):
+        for fn in (build_mesh, nodes_at_level, build_hierarchy):
+            with pytest.raises(ValueError):
+                fn(k)
+
+    def test_node_count_at_integer_levels(self):
+        assert [nodes_at_level(k) for k in (1, np.int64(2))] == [25, 81]
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
@@ -88,6 +97,21 @@ class TestHierarchy:
         v = coarse.nodes[:, 0] + coarse.nodes[:, 1]
         vf = hi.prolongations[0] @ v
         assert np.allclose(vf, fine.nodes[:, 0] + fine.nodes[:, 1], atol=1e-13)
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_is_a_permutation_of_the_nodes(self, k):
+        n = build_mesh(k).n
+        order = nested_dissection(n)
+        assert np.array_equal(np.sort(order), np.arange((n + 1) ** 2))
+
+    def test_last_is_the_middle_grid_line(self):
+        # the first cut is the middle column, which separates the two halves
+        n = build_mesh(3).n
+        order = nested_dissection(n)
+        middle = np.arange(n + 1) * (n + 1) + n // 2
+        assert np.array_equal(order[-(n + 1):], middle)
 
 
 class TestTextExport:

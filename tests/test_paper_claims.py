@@ -6,11 +6,14 @@ Klein-Gordon), and the observed MMS order over k = 3..5:
 
 - the kinds order as LD < GSL < DU < J < TRIU < none on every row;
 - kappa(A) without a preconditioner grows at least 1.4x per mesh level;
-- kappa(P_LD^-1 A) stays within a factor 1.15 across the levels;
+- kappa(P_LD^-1 A) stays within a factor 1.15 across the levels, and
+  kappa(P_J^-1 A) within 1.35;
 - the marches converge at second order in h.
 
-Measured: LD varies by at most 1.125 (wave), `none` grows by at least
-1.47x a level (wave), and the MMS orders are 1.966-1.980.
+Measured: LD varies by at most 1.134 and J by at most 1.301 (both
+Klein-Gordon; wave 1.125 and 1.252, the parabolic rows at most 1.003
+and 1.022), `none` grows by at least 1.47x a level (wave), and the MMS
+orders are 1.966-1.980.
 """
 
 import pytest
@@ -56,6 +59,14 @@ def test_ld_is_mesh_independent(kappas):
     name, levels = kappas
     ld = [kappa["LD"] for kappa in levels]
     assert max(ld) < 1.15 * min(ld), (name, ld)
+
+
+def test_j_is_mesh_independent(kappas):
+    # J still rises toward its plateau on the hyperbolic rows; a kind that
+    # grew like `none` (>= 1.4x a level) would be 1.96x over these levels
+    name, levels = kappas
+    j = [kappa["J"] for kappa in levels]
+    assert max(j) < 1.35 * min(j), (name, j)
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))

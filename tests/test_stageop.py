@@ -395,6 +395,49 @@ class TestFactor:
         default = splu((M + 0.1 * c * F).tocsc())
         assert 0 < op.factor_nnz < default.L.nnz + default.U.nnz
 
+    @pytest.fixture(scope="class")
+    def level6(self):
+        mesh = build_mesh(6)
+        return assemble_mass(mesh), assemble_stiffness(mesh, coefficient_preset("variable"))
+
+    @pytest.mark.parametrize("coupling,c", [([[0.3]], 0.3),
+                                            ([[0.3, -0.2], [0.2, 0.3]], 0.3 + 0.2j)])
+    def test_nested_dissection_at_level_six(self, level6, coupling, c):
+        # one real or one complex block of N = 16641 >= ND_MIN_NODES nodes
+        M, F = level6
+        op = StageOperator(np.array(coupling), M, F, 0.1, 1)
+        rng = np.random.default_rng(6)
+        r = rng.standard_normal(op.size)
+        assert np.linalg.norm(op.apply(op.solve(r)) - r) <= 1e-12 * np.linalg.norm(r)
+        S = M + 0.1 * c * F
+        lu = stageop.factor(S)
+        assert isinstance(lu, stageop.NestedDissectionLU)
+        minimum_degree = splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                              options={"SymmetricMode": True})
+        assert op.factor_nnz == lu.nnz < minimum_degree.nnz
+        # the dense kappa route solves (N, m) blocks
+        B = rng.standard_normal((S.shape[0], 3))
+        X = lu.solve(B)
+        columns = np.column_stack([lu.solve(B[:, j]) for j in range(3)])
+        assert X.dtype == columns.dtype and X.tobytes() == columns.tobytes()
+
+    def test_minimum_degree_below_the_size_or_off_the_stencil(self, level6):
+        mesh = build_mesh(5)
+        assert mesh.num_nodes < stageop.ND_MIN_NODES
+        small = assemble_mass(mesh) + 0.03 * assemble_stiffness(
+            mesh, coefficient_preset("variable"))
+        M, F = level6
+        S = M + 0.03 * F
+        N, side = S.shape[0], 129
+        # node (1, 0) coupled with (0, 1), and (0, 0) with (2, 0): no stencil edges
+        outside = [S + sp.csr_matrix(([1e-3, 1e-3], ([i, j], [j, i])), shape=(N, N))
+                   for i, j in ((1, side), (0, 2))]
+        for block in [small] + outside:
+            lu = stageop.factor(block)
+            assert not isinstance(lu, stageop.NestedDissectionLU)
+            b = np.ones(block.shape[0])
+            assert np.linalg.norm(block @ lu.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+
 
 class TestStageRhs:
     def test_constant_state_zero_forcing(self, small_system):
