@@ -28,6 +28,16 @@ X = P_h^-1 A_h and of X^-1 = A_h^-1 P_h by Lanczos on the Gram operator
 X^T X, applied with StageOperator.apply/solve and their transposes. The
 ARPACK residual test bounds the error of sigma^2 by tol sigma^2, so each
 sigma is accurate to tol/2 and kappa to about tol, relative.
+
+field_of_values takes one top eigenpair per angle from LAPACK's zheevr,
+in place on one complex n x n buffer (n = s N) reused across angles: a
+reduction to tridiagonal form (about 16/3 n^3 flops), then MRRR for that
+eigenpair alone. With 8 angles on one core of an Intel Xeon it took
+0.53 s at n = 578, 1.7 s at n = 867 and 27 s at n = 2178. Memory: B,
+that buffer (two (s N)^2 float64 buffers) and one real n x n temporary
+while it is formed, 4.0 buffers in all (tracemalloc). The support values
+are LAPACK's backward-stable eigenvalues: they matched np.linalg.eigvalsh
+to 5e-13 relative on a wave LD matrix at n = 867, 128 angles.
 """
 
 from dataclasses import dataclass
@@ -43,15 +53,12 @@ DENSE_SOLVE_WIDTH = 256  # columns per P_h solve, rows per Gram block
 # Gram kappa's error, up to about eps kappa^2 (measured), would pass the
 # iterative route's tol of 1e-8 here
 GRAM_KAPPA_MAX = np.sqrt(1e-8 / np.finfo(float).eps)
-FOV_EIGH_CUTOFF = 600  # full eigh below, Lanczos above
-FOV_LANCZOS_TOL = 1e-6
 
 
 @dataclass
 class SpectrumResult:
     eigenvalues: np.ndarray
     kappa: float
-    label: str = ""
 
 
 @dataclass
@@ -168,66 +175,50 @@ def condition_number_iterative(op, prec=None, tol=1e-8, seed=0):
     return smax * smin_inv
 
 
-def spectrum(op, prec=None, label=""):
+def spectrum(op, prec=None):
     """Full eigenvalue set of the (preconditioned) dense matrix. Two
     (s N)^2 buffers: np.linalg.eigvals copies the matrix."""
     B = preconditioned_dense(op, prec)
     ev = np.linalg.eigvals(B)
     sv = _svdvals(B)  # after eigvals: overwrites B
-    return SpectrumResult(eigenvalues=ev, kappa=sv[0] / sv[-1], label=label)
-
-
-def _top_eigvec(H, v0=None):
-    """Top eigenvector of the Hermitian operator H by ARPACK to relative
-    residual FOV_LANCZOS_TOL, warm-started from v0 (adjacent angles have
-    nearby top eigenvectors) or from a seeded vector. The support value, a Rayleigh quotient, is
-    then accurate to about FOV_LANCZOS_TOL |lambda_max| or better."""
-    n = H.shape[0]
-    if v0 is None:  # ARPACK's own start vector depends on its earlier calls
-        v0 = np.random.default_rng(12345).standard_normal(n)
-    _, V = spla.eigsh(H, k=1, which="LA", tol=FOV_LANCZOS_TOL, v0=v0,
-                      ncv=min(n, 40), maxiter=1000)
-    return V[:, 0]
+    return SpectrumResult(eigenvalues=ev, kappa=sv[0] / sv[-1])
 
 
 def field_of_values(matrix, n_angles=128):
-    """Boundary of the numerical range W = {v* B v : ||v|| = 1}.
+    """Boundary of the numerical range W = {v* B v : ||v|| = 1} of a real
+    or complex square B, by Johnson's support-function method.
 
-    For each angle theta, the top eigenvector v of the Hermitian part
-    H(theta) = cos(theta) Hr + i sin(theta) S of e^(i theta) B (Hr and S
-    the Hermitian and skew-Hermitian parts of B, built once) gives the
-    supporting point p = v* B v of the convex boundary, and the support
-    value Re(e^(i theta) p) = lambda_max(H(theta)). Above FOV_EIGH_CUTOFF,
-    Lanczos (_top_eigvec) applies H(theta) as an operator, so no n x n
-    matrix is formed per angle. The distance from the origin to W is
-    max(0, -min over theta of the support value): 0 when W contains the
-    origin.
+    For each of n_angles equally spaced angles theta, H(theta), the
+    Hermitian part of e^(i theta) B, is formed in one complex buffer
+    reused across angles, and LAPACK's MRRR eigensolver (zheevr) works in
+    place on it for its top eigenpair (lambda_max, v) alone. p = v* B v is
+    the supporting point of the convex boundary at theta, and the support
+    value Re(e^(i theta) p) = lambda_max. The distance from the origin to
+    W is max(0, -min over theta of the support value): 0 when W contains
+    the origin.
     """
     if n_angles < 8:
         raise ValueError("n_angles must be >= 8")
     B = np.asarray(matrix)
     n = B.shape[0]
-    if n == 1:
-        z = complex(B[0, 0])
-        return FovResult(boundary_points=np.array([z] * n_angles),
-                         min_distance_to_origin=abs(z))
-    Bh = B.conj().T
-    Hr, S = B + Bh, B - Bh
-    Hr *= 0.5
-    S *= 0.5
     thetas = 2.0 * np.pi * np.arange(n_angles) / n_angles
     points = np.empty(n_angles, dtype=complex)
-    v = None
+    H = np.empty((n, n), dtype=complex)
+    X, Y = H.real, H.imag
     for k, theta in enumerate(thetas):
-        c, s = np.cos(theta), 1j * np.sin(theta)
-        if n <= FOV_EIGH_CUTOFF:
-            v = np.linalg.eigh(c * Hr + s * S)[1][:, -1]
-        else:
-            def H(X, c=c, s=s):
-                return c * (Hr @ X) + s * (S @ X)
-            op = spla.LinearOperator((n, n), matvec=H, matmat=H, dtype=complex)
-            v = _top_eigvec(op, v)
-        points[k] = v.conj() @ (B @ v)
+        # H = conj(H(theta)) = H(theta)^T, so that H.T, H's Fortran-ordered
+        # view, is H(theta) and LAPACK works on it in place. Each overlapping
+        # operand is copied by numpy first: one real temporary at a time
+        np.multiply(B, 0.5 * np.exp(1j * theta), out=H)
+        X += X.T
+        np.subtract(Y.T, Y, out=Y)
+        _, V = scipy.linalg.eigh(H.T, overwrite_a=True, check_finite=False,
+                                 subset_by_index=[n - 1, n - 1])
+        v = V[:, 0]
+        # B times v's real and imaginary parts: B @ v would copy a real B
+        # to complex
+        Bv = B @ np.column_stack((v.real, v.imag))
+        points[k] = v.conj() @ (Bv[:, 0] + 1j * Bv[:, 1])
     support = (np.exp(1j * thetas) * points).real
     return FovResult(boundary_points=points,
                      min_distance_to_origin=max(0.0, float(-support.min())))

@@ -47,10 +47,9 @@ KAPPA_DENSE_CUTOFF = 4500
 # buffers (tracemalloc, diffusion Radau IIA s=3, LD) within the kappa
 # route's budget of one buffer at DENSE_GUARD, 8 DENSE_GUARD^2 bytes.
 # kappa holds one buffer; spectrum two (np.linalg.eigvals copies); fov
-# 5.12 at s N = 867, taken as 5.2, above analysis.FOV_EIGH_CUTOFF (B,
-# its Hermitian and skew parts, and a complex copy of the Hermitian part
-# in each Lanczos matvec), 9.0 on the eigh route below it, which stays
-# under 600
+# 4.02 at s N = 867 (B, one complex buffer for every angle's Hermitian
+# part, one real temporary while it is formed), within the 5.2 its limit
+# is set from
 DENSE_LIMIT = {command: int(DENSE_GUARD / buffers ** 0.5)
                for command, buffers in (("kappa", 1), ("spectrum", 2), ("fov", 5.2))}
 
@@ -324,7 +323,7 @@ def run_cloud(config, violations=()):
             prec = ws.prec_matrix(s, kind)
             label = f"{config.problem}_{ws.method_label(s)}_k{k}_{kind}"
             if spectrum:
-                result = analysis.spectrum(op, prec, label=label)
+                result = analysis.spectrum(op, prec)
                 points = result.eigenvalues
                 values = (float(np.abs(points).min()), result.kappa)
             else:

@@ -55,12 +55,13 @@ class StepperState:
     h_t: float
 
 
-def timestep_rule(h, s, kind, p=1):
-    """Coupled timestep h_t = h^((p+1)/q) with q = 2s for Gauss-Legendre
-    (and its Nystrom methods) and q = 2s - 1 for Radau IIA."""
+def timestep_rule(h, s, kind):
+    """Coupled timestep h_t = h^((p+1)/q) for P1 elements (p = 1), so
+    h^(2/q), with q = 2s for Gauss-Legendre (and its Nystrom methods) and
+    q = 2s - 1 for Radau IIA."""
     kind = TableauKind(kind) if not isinstance(kind, TableauKind) else kind
     q = 2 * s - 1 if kind is TableauKind.RADAU_IIA else 2 * s
-    return float(h) ** ((p + 1) / q)
+    return float(h) ** (2 / q)
 
 
 def _beta_is_zero(coeff):

@@ -7,10 +7,9 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
 from irkprec import analysis
-from irkprec.analysis import (FOV_EIGH_CUTOFF, FOV_LANCZOS_TOL, GRAM_KAPPA_MAX,
-                              _svdvals, butcher_kappa, condition_number,
-                              condition_number_iterative, field_of_values,
-                              preconditioned_dense, spectrum)
+from irkprec.analysis import (GRAM_KAPPA_MAX, _svdvals, butcher_kappa,
+                              condition_number, condition_number_iterative,
+                              field_of_values, preconditioned_dense, spectrum)
 from irkprec.assembly import assemble_mass, assemble_stiffness, coefficient_preset
 from irkprec.butcher import (butcher_preconditioner_matrix, gauss_legendre,
                              nystrom_from, radau_iia)
@@ -403,11 +402,18 @@ class TestFieldOfValues:
         else:
             assert abs(fov.min_distance_to_origin - nearest) <= 1e-12 * nearest
 
-    def test_lanczos_route_matches_eigh(self):
-        # above the cutoff H(theta) is an operator: the support values match
-        # eigh's to the route's tolerance, and the temporaries stay a small
-        # multiple of B (Hermitian and skew parts, no n x n matrix per angle)
-        n = FOV_EIGH_CUTOFF + 50
+    @staticmethod
+    def _assert_support_is_top_eigenvalue(B, fov, n_angles, rtol):
+        for k, p in enumerate(fov.boundary_points):
+            rot = np.exp(2j * np.pi * k / n_angles)
+            top = np.linalg.eigvalsh(0.5 * (rot * B + (rot * B).conj().T))[-1]
+            assert abs((rot * p).real - top) <= rtol * abs(top)
+
+    def test_one_route_matches_eigvalsh(self):
+        # the support values are the top eigenvalues of the Hermitian parts
+        # to rounding, and the temporaries stay a small multiple of B (one
+        # complex n x n buffer for all angles, one real one at a time)
+        n = 650
         rng = np.random.default_rng(8)
         B = np.eye(n) + 0.4 * rng.standard_normal((n, n)) / np.sqrt(n)
         tracemalloc.start()
@@ -417,13 +423,24 @@ class TestFieldOfValues:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * B.nbytes
-        for k, p in enumerate(fov.boundary_points):
-            rot = np.exp(2j * np.pi * k / 8)
-            top = np.linalg.eigvalsh(0.5 * (rot * B + (rot * B).conj().T))[-1]
-            assert abs((rot * p).real - top) <= FOV_LANCZOS_TOL * abs(top)
-        # seeded start: ARPACK's own start vector would differ call to call
+        self._assert_support_is_top_eigenvalue(B, fov, 8, 1e-12)
         again = field_of_values(B, n_angles=8)
         assert np.array_equal(again.boundary_points, fov.boundary_points)
+
+    def test_wave_ld_support_is_exact(self):
+        # wave, Gauss-Legendre Nystrom s=3, k=3, LD, as the fov command
+        # builds it (s N = 867): each support value is the top eigenvalue
+        # of its angle's Hermitian part to well below an iterative
+        # eigensolver's usual 1e-6
+        mesh = build_mesh(3)
+        problem = mms_problem("wave", "constant-diffusion")
+        t = method_tableau("wave", 3)
+        op = StageOperator(t, assemble_mass(mesh), assemble_stiffness(mesh, problem.coeff),
+                           timestep_rule(mesh.h, 3, t.kind), problem.mu)
+        B = preconditioned_dense(op, butcher_preconditioner_matrix(t, "LD"))
+        assert B.shape == (867, 867)
+        fov = field_of_values(B, n_angles=8)
+        self._assert_support_is_top_eigenvalue(B, fov, 8, 1e-10)
 
 
 class TestButcherKappa:
