@@ -20,8 +20,10 @@ and so moved kappa by up to 3.5e-7 on wave rows with kappa = 60 but
 kappa(A_h) = 2.7e5.
 
 Memory: condition_number holds one (s N)^2 float64 buffer at a time
-plus O(s N width) temporaries (width = DENSE_SOLVE_WIDTH); spectrum
-needs a second buffer, since np.linalg.eigvals works on a copy.
+plus O(s N width) temporaries (width = DENSE_SOLVE_WIDTH = 64; 32-256
+took the same time): LD's P_h solve held 2.7 MiB (2.5 s N x 64 blocks)
+above the 36.2 MiB buffer at s N = 2178 (tracemalloc), 10.6 MiB with
+256 columns. spectrum needs a second buffer: np.linalg.eigvals copies.
 
 The iterative route (condition_number_iterative) takes sigma_max of
 X = P_h^-1 A_h and of X^-1 = A_h^-1 P_h by Lanczos on the Gram operator
@@ -48,7 +50,7 @@ import scipy.sparse.linalg as spla
 
 from .stageop import StageOperator
 
-DENSE_SOLVE_WIDTH = 256  # columns per P_h solve, rows per Gram block
+DENSE_SOLVE_WIDTH = 64  # columns per P_h solve, rows per Gram block; see Memory
 # A Gram kappa above this is recomputed from the singular values: the
 # Gram kappa's error, up to about eps kappa^2 (measured), would pass the
 # iterative route's tol of 1e-8 here

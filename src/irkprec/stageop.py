@@ -24,26 +24,28 @@ block_solver(M, F, c), called once per distinct a. The default block
 solver, lu_block, is its exact LU; a block preconditioner may pass an
 approximate one (precond's V-cycle).
 
-Every LU of a block M + c F (c real or complex) is made by factor(), in a
-symmetric ordering with SuperLU's symmetric mode, which prefers diagonal
-pivots. M and F share one symmetric sparsity pattern, and the Hermitian
-part of M + c F is positive definite for Re c >= 0, so the diagonal is a
-sound pivot sequence and a symmetric ordering fills less than the default
-COLAMD ordering of unsymmetric matrices. Partial pivoting (the default
-threshold) stays on. The ordering is chosen from the block itself:
+Every LU of a block M + c F (c real or complex) is a BlockLU made by
+factor(), in a symmetric ordering with SuperLU's symmetric mode, which
+prefers diagonal pivots: M and F share one symmetric pattern, and the
+Hermitian part of M + c F is positive definite for Re c >= 0, so the
+diagonal is a sound pivot sequence and a symmetric ordering fills less
+than COLAMD. Partial pivoting stays on. SuperLU factors the block's
+transpose, whose CSC arrays are the block's CSR arrays (no copy), and
+every solve is the transposed solve on those factors: a solve with the
+block itself. That kernel solves one vector in 0.72-0.80x the time of
+the plain one at k = 4, 5, with equal fill and residuals, but a block
+column by column, 1.2-1.5x slower on 64-256 columns (one BLAS thread,
+2-core x86_64 host). The ordering is chosen from the block:
 
 - A block of a mesh, N = mesh.nodes_at_level(k) >= ND_MIN_NODES (k >= 6)
-  with its pattern inside the mesh's 7-point stencil, is factored in the
-  grid's nested-dissection order (mesh.nested_dissection; George 1973:
-  O(N log N) fill on such grids), permuted before SuperLU and in its
-  NATURAL column order. Against minimum degree its fill measured -3%,
-  -10% and -20% at k = 6, 7, 8 (30.1M -> 24.2M nonzeros at k=8), and
-  its factor time 0.84-0.94x, 0.68-0.71x and 0.50-0.57x (real and
-  complex c, two sets of runs, one BLAS thread, 2-core x86_64 host).
-- Every other block, the smaller meshes (fill +8% and +2% at k = 4, 5
-  under nested dissection), the V-cycle's coarsest level and any
-  non-grid matrix, takes SuperLU's minimum-degree ordering of the
-  pattern of S^T + S.
+  with its pattern inside the mesh's 7-point stencil, takes the grid's
+  nested-dissection order (mesh.nested_dissection; George 1973), applied
+  before SuperLU, which keeps it (NATURAL). Against minimum degree its
+  fill measured -3%, -10% and -20% at k = 6, 7, 8, and its factor time
+  0.84-0.94x, 0.68-0.71x and 0.50-0.57x (real and complex c).
+- Every other block (fill +8% and +2% under nested dissection at k = 4,
+  5), the V-cycle's coarsest level and any non-grid matrix, takes
+  SuperLU's minimum-degree ordering of the pattern of S^T + S.
 """
 
 import numpy as np
@@ -64,10 +66,7 @@ from .mesh import MAX_LEVEL, in_stencil, nested_dissection, nodes_at_level
 # CLI gives them lower limits of their own (cli.DENSE_LIMIT).
 DENSE_GUARD = 20000
 
-# factor() orders the blocks of meshes with at least this many nodes
-# (k >= 6) by nested dissection, smaller ones by minimum degree, which
-# fills less there (see above)
-ND_MIN_NODES = 10_000
+ND_MIN_NODES = 10_000  # factor() orders by nested dissection from here (k >= 6)
 
 
 def spmv(A, x, out):
@@ -94,46 +93,42 @@ def spmv(A, x, out):
 
 
 def factor(S):
-    """Sparse LU of a block M + c F: in nested-dissection order when S is
-    a block of a mesh of at least ND_MIN_NODES nodes (a NestedDissectionLU),
-    else in the minimum-degree order (a SuperLU); see the module docstring.
-    Either has solve(b), for b of shape (N,) or (N, m), solved column by
-    column, and nnz, the stored L + U nonzeros."""
+    """Sparse LU of a block M + c F (a BlockLU): in nested-dissection
+    order when S is a block of a mesh of at least ND_MIN_NODES nodes,
+    else in minimum-degree order; see the module docstring."""
+    S = S.tocsr()
     n = _grid_side(S)
-    if n is None:
-        return splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                    options={"SymmetricMode": True})
-    return NestedDissectionLU(S, nested_dissection(n))
+    return BlockLU(S, None if n is None else nested_dissection(n))
 
 
 def _grid_side(S):
-    """n when S is N x N with N = nodes_at_level(k) >= ND_MIN_NODES and
-    every stored entry of S couples two nodes of one triangle of
-    build_mesh(k) (n = 2^(k+1) squares per side); else None."""
+    """n when the CSR matrix S is N x N with N = nodes_at_level(k) >=
+    ND_MIN_NODES and every stored entry of S couples two nodes of one
+    triangle of build_mesh(k) (n = 2^(k+1) squares per side); else None."""
     N = S.shape[0]
     n = {nodes_at_level(k): 2 ** (k + 1) for k in range(1, MAX_LEVEL + 1)}.get(N)
     if N < ND_MIN_NODES or n is None:
         return None
-    S = S.tocsr()
     rows = np.repeat(np.arange(N), np.diff(S.indptr))
     return n if in_stencil(n, rows, S.indices) else None
 
 
-class NestedDissectionLU:
-    """Solves with S through SuperLU factors of A^T, A = S[order][:, order],
-    in their given (NATURAL) column order, with SuperLU's symmetric mode
-    and partial pivoting as for the minimum-degree LUs. The CSR arrays of A
-    are the CSC arrays of A^T, so SuperLU gets them with no further copy,
-    and A x = b is solved as the transposed system of those factors."""
+class BlockLU:
+    """SuperLU factors of A^T, A = S[order][:, order] in NATURAL column
+    order, or A = S in minimum-degree order when order is None; solve(b)
+    solves with S, nnz is the stored L + U nonzeros."""
 
-    def __init__(self, S, order):
+    def __init__(self, S, order=None):
         self.order = order
-        self.lu = splu(S.tocsr()[order][:, order].T, permc_spec="NATURAL",
+        A = S.tocsr() if order is None else S.tocsr()[order][:, order]
+        self.lu = splu(A.T, permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
                        options={"SymmetricMode": True})
         self.nnz = self.lu.nnz
 
     def solve(self, b):
         """S^-1 b for b of shape (N,) or (N, m), column by column."""
+        if self.order is None:
+            return self.lu.solve(np.asarray(b), trans="T")
         y = self.lu.solve(np.asarray(b)[self.order], trans="T")
         x = np.empty_like(y)
         x[self.order] = y
@@ -255,14 +250,16 @@ class StageOperator:
         scale = self.h_t ** self.mu
         Z = np.empty_like(R)
         FZ = [None] * self.s
+        product = np.empty(Z.shape[1:])         # one T_ij F z_j term at a time
         for lo, hi, solver in (blocks if lower else blocks[::-1]):
-            acc = R[lo:hi].copy()
+            acc = Z[lo:hi]                      # the right-hand side, then z
+            acc[...] = R[lo:hi]
             for j in (range(lo) if lower else range(hi, self.s)):
                 for i in range(lo, hi):
                     if T[i, j] != 0.0:
                         if FZ[j] is None:
                             FZ[j] = spmv(self.F, Z[j], np.empty(Z.shape[1:]))
-                        acc[i - lo] -= scale * T[i, j] * FZ[j]
+                        acc[i - lo] -= np.multiply(scale * T[i, j], FZ[j], out=product)
             if hi - lo == 1:
                 Z[lo] = solver.solve(acc[0])
             else:

@@ -207,10 +207,10 @@ class TestGramRoute:
         calls = self.count_svd_calls(monkeypatch)
         assert condition_number(op) == expected     # bit for bit
         assert calls == [(op.size, op.size)]
-        # the Gram buffer is freed before B is formed again: measured 1.64
-        # (the buffer and the Gram route's 256 x s N temporary, s N = 405),
-        # 2.2 with G kept alive. Bound: measured + 16%
-        assert peak_in_buffers(op, lambda: condition_number(op)) <= 1.9
+        # the Gram buffer is freed before B is formed again: measured 1.20
+        # (the buffer and the Gram route's 64 x s N temporary, s N = 405;
+        # 1.64 with 256 rows), 2.2 with G kept alive. Bound: measured + 16%
+        assert peak_in_buffers(op, lambda: condition_number(op)) <= 1.39
 
     def test_zero_lambda_min_falls_back_to_svd(self, monkeypatch):
         # lambda_min of the Gram matrix, 1e-400, underflows to 0; the
@@ -264,14 +264,14 @@ class TestDenseRouteInPlace:
 
     @pytest.mark.parametrize("kind", ["none", "J", "GSL", "TRIU", "LD", "DU"])
     def test_condition_number_peak(self, radau_k3, kind):
-        # measured 1.30 (none: the buffer and the Gram route's 256 x s N
-        # temporary), 1.49 (J) and 1.69 (the others: the P_h solve's
-        # temporaries) at s N = 867 with width 256; solving all columns at
-        # once into a new array took 3.0-3.35. Bound: the largest
-        # measured + 20%.
+        # measured 1.08 (none: the buffer and the Gram route's 64 x s N
+        # temporary), 1.13 (J) and 1.18 (the others: the P_h solve's
+        # temporaries) at s N = 867 with width 64; width 256 took 1.30,
+        # 1.49 and 1.69, and solving all columns at once into a new array
+        # 3.0-3.35. Bound: the largest measured + 20%.
         op, t = radau_k3
         P = None if kind == "none" else butcher_preconditioner_matrix(t, kind)
-        assert peak_in_buffers(op, lambda: condition_number(op, P)) <= 2.0
+        assert peak_in_buffers(op, lambda: condition_number(op, P)) <= 1.41
 
 
 class TestSpectrum:

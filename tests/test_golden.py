@@ -4,9 +4,11 @@ compared with the recorded rows by exact equality, `time_s` dropped.
 
 A change that means to move digits re-records the file and names the
 fields it moved; --diff prints, per entry, the largest relative move of
-each float field and every other change before the file is rewritten:
+each float field and every other change before the file is rewritten.
+Record with one BLAS thread, as conftest.py sets for the test session:
+the dense kappa rows' last digits depend on the thread count.
 
-    PYTHONPATH=src python tests/test_golden.py [--diff]
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py [--diff]
 """
 
 import json

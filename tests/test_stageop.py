@@ -411,7 +411,7 @@ class TestFactor:
         assert np.linalg.norm(op.apply(op.solve(r)) - r) <= 1e-12 * np.linalg.norm(r)
         S = M + 0.1 * c * F
         lu = stageop.factor(S)
-        assert isinstance(lu, stageop.NestedDissectionLU)
+        assert lu.order is not None                     # nested dissection
         minimum_degree = splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A",
                               options={"SymmetricMode": True})
         assert op.factor_nnz == lu.nnz < minimum_degree.nnz
@@ -434,9 +434,32 @@ class TestFactor:
                    for i, j in ((1, side), (0, 2))]
         for block in [small] + outside:
             lu = stageop.factor(block)
-            assert not isinstance(lu, stageop.NestedDissectionLU)
+            assert lu.order is None                     # minimum degree
             b = np.ones(block.shape[0])
             assert np.linalg.norm(block @ lu.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("c", [0.3, 0.3 + 0.2j])
+    @pytest.mark.parametrize("level", [5, 6])
+    def test_solves_with_s_not_its_transpose(self, level6, level, c):
+        # the factors are those of S^T, so a solve that dropped trans="T"
+        # would solve with S^T. A skew-symmetric perturbation inside the
+        # stencil (F's strict upper triangle, minus its transpose) makes S^T
+        # differ from S, keeps S's Hermitian part positive definite and the
+        # k=6 block on the nested-dissection route.
+        if level == 6:
+            M, F = level6
+        else:
+            mesh = build_mesh(level)
+            M, F = assemble_mass(mesh), assemble_stiffness(mesh, coefficient_preset("variable"))
+        U = sp.triu(F, 1)
+        S = (M + c * F + 0.1 * (U - U.T)).tocsr()
+        lu = stageop.factor(S)
+        assert (lu.order is not None) == (level == 6)
+        rng = np.random.default_rng(level)
+        for b in (rng.standard_normal(S.shape[0]), rng.standard_normal((S.shape[0], 3))):
+            x = lu.solve(b)
+            assert np.linalg.norm(S @ x - b) <= 1e-12 * np.linalg.norm(b)
+            assert np.linalg.norm(S.T @ x - b) > 1e-3 * np.linalg.norm(b)
 
 
 class TestStageRhs:
