@@ -19,16 +19,19 @@ every row the CLI reports, and the golden rows
 (tests/data/golden_rows.json) compare those rows by exact equality.
 tests/test_assembly.py keeps the plain formulas as references.
 
-M and F are scattered by one np.bincount onto the mesh's CSR pattern,
-mesh.stencil_layout, which also gives the slot of each of the 9 local
-entries of every triangle; it is recomputed from n on each call, and M
-and F of one mesh get the same indptr and indices. bincount adds the
-terms of an entry one at a time in element order, as the loads do.
-scipy's COO -> CSR conversion, which this replaces, summed them in its
-own per-row sort order: the same bits wherever every term is exact (the
-uniform mesh with constant coefficients), a last-bit difference on some
-entries otherwise. At k=6 and 8 the scatter of one matrix takes
-0.55-0.65x the time of the COO -> CSR conversion (one BLAS thread,
+M and F are born in diagonal (DIA) storage: a scipy dia_matrix on the 7
+offsets of the mesh's stencil, ascending (mesh.diagonal_layout), whose
+(7, N) data array one np.bincount fills. The layout also gives the slot
+of each of the 9 local entries of every triangle; it is recomputed from n
+on each call, and M and F of one mesh share the same offsets, so M + c F
+is the sum of their data arrays. Slots off the grid (row wraps and the
+ends of the outer diagonals) stay explicit zeros. bincount adds the terms
+of an entry one at a time in element order, as the loads do; scipy's COO
+-> CSR conversion sums them in its own per-row sort order, which gives
+the same bits only where every term is exact (the uniform mesh with
+constant coefficients). assemble_mass takes about 0.5x (k=6) and 0.6x
+(k=8) the time it took with a scatter onto the CSR pattern,
+assemble_stiffness, mostly quadrature, 0.75-0.9x (one BLAS thread,
 2-core x86_64 host).
 
 Loads have one path, assemble_loads: the geometry and the quadrature
@@ -46,7 +49,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .errors import CoefficientError
-from .mesh import stencil_layout
+from .mesh import diagonal_layout
 
 # Six-point symmetric triangle rule, exact for degree 4; weights sum to 1
 # so that integral over K = area * sum_q w_q f(x_q).
@@ -211,12 +214,12 @@ def coefficient_preset(name):
 
 
 def _scatter(mesh, local):
-    """Sum the (T, 3, 3) local element matrices into a CSR matrix on the
-    mesh's stencil layout, each entry's terms added in element order."""
-    indptr, indices, slots = stencil_layout(mesh.n)
-    data = np.bincount(slots.ravel(), local.ravel(), minlength=indices.size)
+    """Sum the (T, 3, 3) local element matrices into a DIA matrix on the
+    mesh's stencil diagonals, each entry's terms added in element order."""
+    offsets, slots = diagonal_layout(mesh.n)
     N = mesh.num_nodes
-    return sp.csr_matrix((data, indices, indptr), shape=(N, N))
+    data = np.bincount(slots.ravel(), local.ravel(), minlength=offsets.size * N)
+    return sp.dia_matrix((data.reshape(offsets.size, N), offsets), shape=(N, N))
 
 
 def assemble_mass(mesh):
@@ -300,8 +303,9 @@ def assemble_load(mesh, f):
 
 
 def write_matrix_market(matrix, path):
-    """Matrix Market coordinate export with enough digits for an exact
-    round trip of doubles."""
+    """Matrix Market coordinate export of the nonzero entries (a DIA
+    matrix's explicit zeros are not written) with enough digits for an
+    exact round trip of doubles."""
     scipy.io.mmwrite(path, sp.coo_matrix(matrix), precision=17)
 
 

@@ -1,4 +1,6 @@
-"""Uniform triangulations of [-1,1]^2 and nested hierarchies for multigrid."""
+"""Uniform triangulations of [-1,1]^2, the diagonal (DIA) storage layout
+of their P1 matrices on the 7-point stencil, and nested hierarchies for
+multigrid. The prolongations between levels are CSR."""
 
 from dataclasses import dataclass
 
@@ -28,7 +30,7 @@ class TriMesh:
     n squares per side, each split by its lower-left -> upper-right
     diagonal; nodes ordered row-major by y then x, and triangles two per
     square (lower, then upper), squares row-major by y then x. Assembly
-    relies on that layout, through stencil_layout(n), and only the nodes
+    relies on that layout, through diagonal_layout(n), and only the nodes
     may be moved (the jittered meshes of the assembly tests).
     """
 
@@ -94,54 +96,35 @@ def _square_corners(n):
     return (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
 
 
-def stencil_layout(n):
-    """CSR pattern of the P1 matrices on the (n+1)^2 grid, and where each
-    element entry goes in it.
+def stencil_offsets(n):
+    """The 7 diagonal offsets dx + (n+1) dy of the stencil on the (n+1)^2
+    grid, ascending: entry (p, q) of a P1 matrix lies on diagonal q - p."""
+    return np.array([dx + (n + 1) * dy for dx, dy in _STENCIL])
 
-    Returns (indptr, indices, slots): indptr and indices are the pattern
-    scipy's COO -> CSR conversion gives (sorted columns, the full 7-point
-    stencil of every node, boundary rows shorter), and slots[t, 3 i + j]
-    is the position in indices of the entry (triangles[t, i],
-    triangles[t, j]) for the triangles of build_mesh's mesh with n
-    squares per side. Computed from n by index arithmetic alone, so
-    nothing needs caching between calls.
+
+def diagonal_layout(n):
+    """Diagonal (DIA) storage of the P1 matrices on the (n+1)^2 grid, and
+    where each element entry goes in it.
+
+    Returns (offsets, slots): offsets is stencil_offsets(n), and slots[t,
+    3 i + j] = d N + q places the entry (p, q) = (triangles[t, i],
+    triangles[t, j]) of the triangles of build_mesh's mesh with n squares
+    per side in row d of a (7, N) data array, column q, where q - p =
+    offsets[d] (scipy's dia_matrix keeps entry (q - offsets[d], q) in
+    data[d, q]). The slots of a row's stencil entries are then in
+    ascending column order, as in CSR. Computed from n by index arithmetic
+    alone, so nothing needs caching between calls.
     """
     side = n + 1
     N = side * side
-    x = np.arange(side)
-    dx, dy = (np.array(d)[:, None] for d in zip(*_STENCIL))
-    # inside[o, y * side + x]: node (x, y) has its neighbour (x + dx_o, y + dy_o)
-    inside = (((0 <= x + dy) & (x + dy <= n))[:, :, None]
-              & ((0 <= x + dx) & (x + dx <= n))[:, None, :]).reshape(len(_STENCIL), N)
-    # position[o, p]: where entry (p, p + dx_o + side dy_o) is in indices
-    position = np.cumsum(inside, axis=0)
-    indptr = np.zeros(N + 1, dtype=np.int64)
-    np.cumsum(position[-1], out=indptr[1:])
-    position += indptr[:-1] - 1
-    indices = (np.arange(N) + (dx + side * dy)).T[inside.T]
-
-    # slots[square, half, i, j] = position[o, corner_i], o the offset from
-    # corner i to corner j, one gather at corner_i = square's node + a constant
     column = {d: o for o, d in enumerate(_STENCIL)}
-    lookup = np.array([[[N * column[xj - xi, yj - yi] + xi + side * yi
+    # slots[square, half, i, j] = N d + corner_j, one gather at corner_j =
+    # square's node + a constant
+    lookup = np.array([[[N * column[xj - xi, yj - yi] + xj + side * yj
                          for xj, yj in corners] for xi, yi in corners]
                        for corners in _SQUARE_HALVES])
-    slots = position.ravel()[_square_corners(n)[:, None, None, None] + lookup]
-    return indptr, indices, slots.reshape(2 * n * n, 9)
-
-
-def in_stencil(n, rows, cols):
-    """Whether each pair (rows[i], cols[i]) of nodes of the (n+1)^2 grid
-    is a node with itself or with one of its stencil neighbours, i.e. an
-    entry of the pattern of stencil_layout(n)."""
-    (y0, x0), (y1, x1) = np.divmod(rows, n + 1), np.divmod(cols, n + 1)
-    dx, dy = x1 - x0, y1 - y0
-    if not np.all((np.abs(dx) <= 1) & (np.abs(dy) <= 1)):
-        return False
-    coupled = np.zeros((3, 3), dtype=bool)
-    for sx, sy in _STENCIL:
-        coupled[sy + 1, sx + 1] = True
-    return bool(np.all(coupled[dy + 1, dx + 1]))
+    slots = _square_corners(n)[:, None, None, None] + lookup
+    return stencil_offsets(n), slots.reshape(2 * n * n, 9)
 
 
 def nested_dissection(n):

@@ -5,6 +5,12 @@ block M + h_t^mu p_ii F is solved, by its block solver: the exact LU by
 default, or one V-cycle on the Galerkin coarsenings R^T X R of M and F,
 which need only M, F and the prolongations R of a mesh hierarchy.
 
+Each coarse level is put onto its grid's 7 stencil diagonals once per
+build (DIA storage, as the assembled M and F), so every level's M_l + c
+F_l is the sum of two data arrays on shared offsets
+(stageop.block_matrix) and its sweeps and residuals are DIA products;
+the prolongations and their stored transposes stay CSR.
+
 Stage vectors are stage-major, as in stageop: the preconditioner's
 apply_inverse takes and returns x[i*N:(i+1)*N] as the i-th stage block,
 and each subsolve works on one such N-vector.
@@ -21,11 +27,15 @@ work vector, so a later solve does not overwrite it. One subsolver must
 not be called re-entrantly, nor from two threads at once.
 """
 
+import math
+
 import numpy as np
+import scipy.sparse as sp
 
 from .butcher import PreconditionerKind, butcher_preconditioner_matrix
 from .errors import SubsolveError
-from .stageop import StageOperator, factor, spmv
+from .mesh import stencil_offsets
+from .stageop import StageOperator, block_matrix, factor, spmv
 
 SMOOTHER_DAMPING = 2.0 / 3.0
 PRE_SWEEPS = 2
@@ -34,11 +44,29 @@ POST_SWEEPS = 2
 
 def galerkin_levels(M, F, prolongations):
     """[(M_l, F_l)] from coarsest to finest: M, F on the finest level and
-    R^T X R of the next finer level below it, R = prolongations[l]."""
-    levels = [(M.tocsr(), F.tocsr())]
+    R^T X R of the next finer level below it, R = prolongations[l], each
+    coarse level put once onto its grid's stencil diagonals (on_stencil)."""
+    levels = [(M, F)]
     for R in reversed(prolongations):
-        levels.append(tuple((R.T @ X @ R).tocsr() for X in levels[-1]))
+        levels.append(tuple(on_stencil(R.T @ X @ R) for X in levels[-1]))
     return levels[::-1]
+
+
+def on_stencil(X):
+    """The N x N matrix X as a DIA matrix on the 7 stencil diagonals of
+    the (n+1)^2 grid, N = (n+1)^2 (mesh.stencil_offsets), explicit zeros
+    where X stores no entry; X as CSR if it has an entry off them. The
+    Galerkin product of P1 matrices with the P1 prolongation keeps to
+    the coarse stencil."""
+    X = X.tocoo()
+    offsets = stencil_offsets(math.isqrt(X.shape[0]) - 1)
+    offset = X.col - X.row
+    diagonal = np.searchsorted(offsets, offset).clip(max=offsets.size - 1)
+    if np.any(offsets[diagonal] != offset):
+        return X.tocsr()
+    data = np.zeros((offsets.size, X.shape[1]), X.dtype)
+    data[diagonal, X.col] = X.data
+    return sp.dia_matrix((data, offsets), shape=X.shape)
 
 
 def restrictions(prolongations):
@@ -49,7 +77,9 @@ def restrictions(prolongations):
 
 class VCycleSubsolver:
     """One geometric V(2,2) cycle for M + c F on the Galerkin levels
-    (M_l, F_l) of galerkin_levels, coarse to fine.
+    (M_l, F_l) of galerkin_levels, coarse to fine; each level matrix is
+    stageop.block_matrix(M_l, F_l, c), and its diagonal d is the offset-0
+    row of its DIA data.
 
     Damped Jacobi (omega = 2/3) smoothing, residual restriction by the
     stored transpose of the interpolation (`restrictions`, shared by every
@@ -58,7 +88,7 @@ class VCycleSubsolver:
     """
 
     def __init__(self, levels, prolongations, restrictions, c):
-        self.S = [Ml + c * Fl for Ml, Fl in levels]
+        self.S = [block_matrix(Ml, Fl, c) for Ml, Fl in levels]
         self.diag = [S.diagonal() for S in self.S]
         if any(np.any(d == 0.0) for d in self.diag):
             raise SubsolveError("zero diagonal entry in multigrid level matrix")

@@ -9,6 +9,13 @@ as it is, the C-ordered s x N view of x with one row per stage: it forms
 F x_i and M x_i row by row with spmv() and adds h_t^mu C (F X), so it
 copies and transposes nothing. apply() returns a fresh array on each call.
 
+M and F are kept in the storage they come in when it is diagonal (DIA):
+the assembled grid matrices, a scipy dia_matrix on the 7 stencil
+diagonals, ascending (mesh.diagonal_layout). Their products need no index
+arrays (0.64-0.68x the time of the CSR product at k = 4 and 6, 0.85x at
+k = 7; one BLAS thread, 2-core x86_64 host) and they take 56 bytes a node
+against 88 in CSR. Any other matrix is stored once as CSR.
+
 The hot kernels (apply, the substitution's F z_j, precond's V-cycle) are
 kept bit for bit equal to their plain `@` forms: every product and sum is
 the same operation in the same order. Rewriting them for speed must not
@@ -29,35 +36,39 @@ factor(), in a symmetric ordering with SuperLU's symmetric mode, which
 prefers diagonal pivots: M and F share one symmetric pattern, and the
 Hermitian part of M + c F is positive definite for Re c >= 0, so the
 diagonal is a sound pivot sequence and a symmetric ordering fills less
-than COLAMD. Partial pivoting stays on. SuperLU factors the block's
-transpose, whose CSC arrays are the block's CSR arrays (no copy), and
-every solve is the transposed solve on those factors: a solve with the
-block itself. That kernel solves one vector in 0.72-0.80x the time of
-the plain one at k = 4, 5, with equal fill and residuals, but a block
-column by column, 1.2-1.5x slower on 64-256 columns (one BLAS thread,
-2-core x86_64 host). The ordering is chosen from the block:
+than COLAMD. Partial pivoting stays on. The block is converted to CSR
+once, for SuperLU alone, which factors its transpose, whose CSC arrays
+are the block's CSR arrays (no copy), and every solve is the transposed
+solve on those factors: a solve with the block itself. That kernel
+solves one vector in 0.72-0.80x the time of the plain one at k = 4, 5,
+with equal fill and residuals, but a block column by column, 1.2-1.5x
+slower on 64-256 columns (one BLAS thread, 2-core x86_64 host). The
+ordering is chosen from the block:
 
 - A block of a mesh, N = mesh.nodes_at_level(k) >= ND_MIN_NODES (k >= 6)
-  with its pattern inside the mesh's 7-point stencil, takes the grid's
+  in diagonal storage on the mesh's 7 stencil diagonals, takes the grid's
   nested-dissection order (mesh.nested_dissection; George 1973), applied
   before SuperLU, which keeps it (NATURAL). Against minimum degree its
   fill measured -3%, -10% and -20% at k = 6, 7, 8, and its factor time
   0.84-0.94x, 0.68-0.71x and 0.50-0.57x (real and complex c).
 - Every other block (fill +8% and +2% under nested dissection at k = 4,
-  5), the V-cycle's coarsest level and any non-grid matrix, takes
-  SuperLU's minimum-degree ordering of the pattern of S^T + S.
+  5), the V-cycle's coarsest level and any block in another storage
+  (CSR, or DIA on other diagonals), takes SuperLU's minimum-degree
+  ordering of the pattern of S^T + S.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import schur
-from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs, dia_matvec, dia_matvecs
 from scipy.sparse.linalg import splu
 
 from .assembly import Forcing, assemble_loads, assemble_stiffness
 from .butcher import ButcherTableau
 from .errors import FactorizationError, ResourceLimitError
-from .mesh import MAX_LEVEL, in_stencil, nested_dissection, nodes_at_level
+from .mesh import nested_dissection, stencil_offsets
 
 # max s*N for materialize(), so for every dense route. The dense kappa
 # route (analysis.condition_number: P_h^-1 A_h, then its Gram matrix)
@@ -70,22 +81,37 @@ ND_MIN_NODES = 10_000  # factor() orders by nested dissection from here (k >= 6)
 
 
 def spmv(A, x, out):
-    """out = A @ x for a CSR matrix A and a vector or (n, m) block x,
-    written into `out` (C-contiguous, of the dtype of A @ x); returns
-    out. The values are bit for bit those of A @ x."""
-    # A @ x ends in this same kernel (started from zeros, as here), but
+    """out = A @ x for a DIA or CSR matrix A and a vector or (n, m) block
+    x, written into `out` (C-contiguous, of the dtype of A @ x); returns
+    out.
+
+    A DIA matrix (the grid matrices: M, F, M + c F and the Galerkin
+    levels) is summed row by row in the order of its offsets, which for
+    ascending offsets is CSR's column order, so for finite x the values
+    are bit for bit those of A @ x and of the CSR product. DIA also adds
+    0 x_q for each padded or explicit-zero entry, which leaves a finite
+    sum unchanged (a sum started from +0 is never -0), but a non-finite
+    x_q gives NaN where CSR skips the entry. A CSR matrix (the
+    prolongations and restrictions, foreign matrices) goes through the
+    CSR kernel; any other format is refused."""
+    # A @ x ends in these same kernels (started from zeros, as here), but
     # first dispatches on the operand types and allocates its result; at
     # the sizes of the V-cycle's levels that overhead costs about as much
-    # as the arithmetic. The kernel checks no lengths, so they are
+    # as the arithmetic. The kernels check no lengths, so they are
     # checked here.
     n_row, n_col = A.shape
-    if (A.format != "csr" or x.ndim not in (1, 2) or x.shape[0] != n_col
+    if (A.format not in ("csr", "dia") or x.ndim not in (1, 2) or x.shape[0] != n_col
             or out.shape != (n_row, *x.shape[1:]) or not out.flags.c_contiguous
             or out.dtype != np.promote_types(A.dtype, x.dtype)):
         raise ValueError(f"spmv: cannot write a {A.format} {A.shape} {A.dtype} "
                          f"times {x.shape} {x.dtype} into {out.shape} {out.dtype}")
     out.fill(0)
-    if x.ndim == 1:
+    if A.format == "dia":
+        if x.ndim == 1:
+            dia_matvec(n_row, n_col, *A.data.shape, A.offsets, A.data, x, out)
+        else:
+            dia_matvecs(n_row, n_col, *A.data.shape, A.offsets, A.data, x.shape[1], x, out)
+    elif x.ndim == 1:
         csr_matvec(n_row, n_col, A.indptr, A.indices, A.data, x, out)
     else:
         csr_matvecs(n_row, n_col, x.shape[1], A.indptr, A.indices, A.data, x, out)
@@ -94,23 +120,23 @@ def spmv(A, x, out):
 
 def factor(S):
     """Sparse LU of a block M + c F (a BlockLU): in nested-dissection
-    order when S is a block of a mesh of at least ND_MIN_NODES nodes,
-    else in minimum-degree order; see the module docstring."""
-    S = S.tocsr()
+    order when S is a block of a mesh of at least ND_MIN_NODES nodes in
+    diagonal storage, else in minimum-degree order; see the module
+    docstring."""
     n = _grid_side(S)
     return BlockLU(S, None if n is None else nested_dissection(n))
 
 
 def _grid_side(S):
-    """n when the CSR matrix S is N x N with N = nodes_at_level(k) >=
-    ND_MIN_NODES and every stored entry of S couples two nodes of one
-    triangle of build_mesh(k) (n = 2^(k+1) squares per side); else None."""
+    """n when S is an N x N DIA matrix, N = (n+1)^2 >= ND_MIN_NODES, stored
+    on exactly the 7 stencil diagonals of the (n+1)^2 grid; else None.
+    A nonzero on those diagonals that joins no stencil neighbours (a row
+    wrap) would only cost fill."""
     N = S.shape[0]
-    n = {nodes_at_level(k): 2 ** (k + 1) for k in range(1, MAX_LEVEL + 1)}.get(N)
-    if N < ND_MIN_NODES or n is None:
+    if S.format != "dia" or N < ND_MIN_NODES:
         return None
-    rows = np.repeat(np.arange(N), np.diff(S.indptr))
-    return n if in_stencil(n, rows, S.indices) else None
+    n = math.isqrt(N) - 1
+    return n if (n + 1) ** 2 == N and np.array_equal(S.offsets, stencil_offsets(n)) else None
 
 
 class BlockLU:
@@ -135,9 +161,20 @@ class BlockLU:
         return x
 
 
+def block_matrix(M, F, c):
+    """M + c F. Two DIA matrices on the same diagonals (the grid matrices)
+    give the DIA matrix of M.data + c F.data, each entry the float
+    operations of scipy's sum of the CSR forms; any other pair is summed
+    by scipy."""
+    if (M.format == F.format == "dia" and np.array_equal(M.offsets, F.offsets)
+            and M.data.shape == F.data.shape):
+        return sp.dia_matrix((M.data + c * F.data, M.offsets), shape=M.shape)
+    return M + c * F
+
+
 def lu_block(M, F, c):
     """The default block solver: the exact LU of M + c F."""
-    return factor(M + c * F)
+    return factor(block_matrix(M, F, c))
 
 
 class StageOperator:
@@ -164,8 +201,9 @@ class StageOperator:
         if M.shape != F.shape or M.shape[0] != M.shape[1]:
             raise ValueError("M and F must be square with equal shapes")
         self.coupling = coupling
-        self.M = M.tocsr()
-        self.F = F.tocsr()
+        # the grid matrices stay on their diagonals; any other format is
+        # stored once as CSR
+        self.M, self.F = (A if A.format == "dia" else A.tocsr() for A in (M, F))
         self.h_t = float(h_t)
         self.mu = int(mu)
         self.s = coupling.shape[0]

@@ -11,7 +11,7 @@ from irkprec.assembly import (PRESETS, QUAD_PHI, QUAD_POINTS, QUAD_WEIGHTS,
                               read_matrix_market, write_matrix_market)
 from irkprec.driver import PROBLEM_NAMES, mms_problem
 from irkprec.errors import CoefficientError
-from irkprec.mesh import build_mesh, stencil_layout
+from irkprec.mesh import build_mesh, diagonal_layout, stencil_offsets
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +76,8 @@ class TestMass:
 
     def test_symmetry_and_definiteness(self, mesh2):
         M = assemble_mass(mesh2)
-        d = abs(M - M.T).max()
-        assert d <= 1e-13 * abs(M).max()
+        d = abs(M - M.T).tocsr().max()
+        assert d <= 1e-13 * abs(M).tocsr().max()
         rng = np.random.default_rng(42)
         for _ in range(100):
             v = rng.standard_normal(mesh2.num_nodes)
@@ -97,7 +97,7 @@ class TestStiffness:
         F = assemble_stiffness(mesh2, coefficient_preset("constant-ones"))
         F_lap = assemble_stiffness(mesh2, coefficient_preset("constant-diffusion"))
         M = assemble_mass(mesh2)
-        assert abs(F - (F_lap + M)).max() <= 1e-13 * abs(F).max()
+        assert abs(F - (F_lap + M)).tocsr().max() <= 1e-13 * abs(F).tocsr().max()
 
     def test_variable_near_zero_alpha_reduces_to_mass(self, mesh2):
         coeff = CoefficientField(
@@ -105,7 +105,7 @@ class TestStiffness:
             beta=lambda x, y: np.ones_like(np.asarray(x, dtype=float)))
         F = assemble_stiffness(mesh2, coeff)
         M = assemble_mass(mesh2)
-        assert abs(F - M).max() <= 1e-12
+        assert abs(F - M).tocsr().max() <= 1e-12
 
     def test_constant_vs_quadrature_paths_agree(self, mesh2):
         # same coefficients once through the closed form, once through the rule
@@ -115,11 +115,11 @@ class TestStiffness:
             beta=lambda x, y: np.ones_like(np.asarray(x, dtype=float)))
         Fc = assemble_stiffness(mesh2, const)
         Fq = assemble_stiffness(mesh2, quad)
-        assert abs(Fc - Fq).max() <= 1e-13 * abs(Fc).max()
+        assert abs(Fc - Fq).tocsr().max() <= 1e-13 * abs(Fc).tocsr().max()
 
     def test_symmetry_and_semidefiniteness_variable(self, mesh2):
         F = assemble_stiffness(mesh2, coefficient_preset("variable"))
-        assert abs(F - F.T).max() <= 1e-13 * abs(F).max()
+        assert abs(F - F.T).tocsr().max() <= 1e-13 * abs(F).tocsr().max()
         rng = np.random.default_rng(7)
         for _ in range(100):
             v = rng.standard_normal(mesh2.num_nodes)
@@ -302,9 +302,27 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-def assert_same_csr(A, B):
-    for name in ("data", "indices", "indptr"):
-        assert_same_bits(getattr(A, name), getattr(B, name))
+def on_diagonals(A, n):
+    """The (7, N) DIA data of the CSR matrix A of the (n+1)^2 grid: each
+    stored entry (p, q) in row d of offset q - p = stencil_offsets(n)[d],
+    column q, and +0.0 wherever A stores no entry."""
+    offsets = stencil_offsets(n)
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    diagonal = np.searchsorted(offsets, A.indices - rows)
+    assert np.array_equal(offsets[diagonal], A.indices - rows)
+    data = np.zeros((offsets.size, A.shape[1]), A.dtype)
+    data[diagonal, A.indices] = A.data
+    return data
+
+
+def assert_same_dia(A, B):
+    """A, assembled in DIA storage, holds the entries of the CSR
+    reference B bit for bit on the stencil's diagonals, and zeros
+    elsewhere."""
+    n = math.isqrt(B.shape[0]) - 1
+    assert A.format == "dia" and A.shape == B.shape
+    assert np.array_equal(A.offsets, stencil_offsets(n))
+    assert_same_bits(A.data, on_diagonals(B, n))
 
 
 # Fields that take the quadrature path with results the assembly must
@@ -354,14 +372,14 @@ class TestBitForBit:
     @pytest.mark.parametrize("k,jitter", MESHES)
     def test_mass(self, k, jitter):
         mesh = oracle_mesh(k, jitter)
-        assert_same_csr(assemble_mass(mesh), ref_mass(mesh))
+        assert_same_dia(assemble_mass(mesh), ref_mass(mesh))
 
     @pytest.mark.parametrize("k,jitter", MESHES)
     def test_stiffness(self, k, jitter):
         mesh = oracle_mesh(k, jitter)
         fields = [coefficient_preset(name) for name in PRESETS]
         for coeff in fields + list(ODD_SHAPES.values()):
-            assert_same_csr(assemble_stiffness(mesh, coeff),
+            assert_same_dia(assemble_stiffness(mesh, coeff),
                             ref_stiffness(mesh, coeff))
 
     @pytest.mark.parametrize("k,jitter", MESHES)
@@ -377,10 +395,10 @@ class TestBitForBit:
         # on the uniform mesh every element term of a constant preset is
         # exact, so any summation order, scipy's included, gives its bits
         mesh = build_mesh(k)
-        assert_same_csr(assemble_mass(mesh), ref_mass(mesh, coo_scatter))
+        assert_same_dia(assemble_mass(mesh), ref_mass(mesh, coo_scatter))
         for coeff in map(coefficient_preset, PRESETS):
             if coeff.is_constant:
-                assert_same_csr(assemble_stiffness(mesh, coeff),
+                assert_same_dia(assemble_stiffness(mesh, coeff),
                                 ref_stiffness(mesh, coeff, coo_scatter))
 
     def test_load_calls_f_once_on_contiguous_points(self):
@@ -398,23 +416,35 @@ class TestBitForBit:
 
 
 class TestStencilLayout:
-    @pytest.mark.parametrize("k", range(1, 8))
-    def test_pattern_is_that_of_coo_to_csr(self, k):
-        mesh = build_mesh(k)
-        indptr, indices, _ = stencil_layout(mesh.n)
-        A = coo_scatter(mesh, np.ones((mesh.num_triangles, 3, 3)))
-        assert np.array_equal(indptr, A.indptr)
-        assert np.array_equal(indices, A.indices)
+    """mesh.diagonal_layout: where the stencil's entries sit in diagonal
+    storage."""
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_every_slot_lands_on_its_entry(self, k):
         mesh = build_mesh(k)
-        indptr, indices, slots = stencil_layout(mesh.n)
+        offsets, slots = diagonal_layout(mesh.n)
+        N = mesh.num_nodes
+        assert np.array_equal(offsets, stencil_offsets(mesh.n))
+        assert np.all(np.diff(offsets) > 0)
         assert slots.shape == (mesh.num_triangles, 9)
-        rows, cols = element_entries(mesh)
-        slot_rows = np.repeat(np.arange(mesh.num_nodes), np.diff(indptr))
-        assert np.array_equal(slot_rows[slots.ravel()], rows)
-        assert np.array_equal(indices[slots.ravel()], cols)
+        diagonal, cols = np.divmod(slots.ravel(), N)
+        rows, expected_cols = element_entries(mesh)
+        assert np.array_equal(cols, expected_cols)
+        assert np.array_equal(cols - offsets[diagonal], rows)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_pattern_is_that_of_coo_to_csr(self, k):
+        # the distinct slots are the stored entries of scipy's pattern, so
+        # every other slot of the (7, N) data (the row wraps and the ends
+        # of the outer diagonals) stays an explicit zero
+        mesh = build_mesh(k)
+        offsets, slots = diagonal_layout(mesh.n)
+        N = mesh.num_nodes
+        diagonal, cols = np.divmod(np.unique(slots), N)
+        A = coo_scatter(mesh, np.ones((mesh.num_triangles, 3, 3)))
+        rows = np.repeat(np.arange(N), np.diff(A.indptr))
+        assert np.array_equal(np.sort((cols - offsets[diagonal]) * N + cols),
+                              rows * N + A.indices)
 
 
 class TestMatrixMarket:

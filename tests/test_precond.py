@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
@@ -8,10 +9,10 @@ from irkprec.assembly import (assemble_mass, assemble_stiffness, coefficient_pre
 from irkprec.butcher import gauss_legendre, nystrom_from, radau_iia
 from irkprec.errors import SubsolveError
 from irkprec.krylov import gmres
-from irkprec.mesh import build_hierarchy, build_mesh
+from irkprec.mesh import build_hierarchy, build_mesh, stencil_offsets
 from irkprec.precond import (POST_SWEEPS, PRE_SWEEPS, SMOOTHER_DAMPING,
                              BlockPreconditioner, VCycleSubsolver, build_preconditioner,
-                             galerkin_levels, restrictions)
+                             galerkin_levels, on_stencil, restrictions)
 from irkprec.stageop import StageOperator
 
 ALL_KINDS = ("J", "GSL", "TRIU", "LD", "DU")
@@ -159,6 +160,33 @@ class TestVCycle:
         for S, mesh in zip(sub.S, (build_mesh(j) for j in range(1, k + 1))):
             ref = assemble_mass(mesh) + tau * assemble_stiffness(mesh, coeff)
             assert spla.norm(S - ref) <= 1e-13 * spla.norm(ref)
+
+    @pytest.mark.parametrize("preset", ["variable", "constant-diffusion"])
+    def test_levels_on_the_stencil_hold_the_csr_products(self, preset):
+        # every coarse level is stored on its grid's 7 diagonals, once, and
+        # holds the bits of the CSR Galerkin product R^T X R
+        k = 4
+        mesh, hierarchy = build_mesh(k), build_hierarchy(k)
+        M, F = assemble_mass(mesh), assemble_stiffness(mesh, coefficient_preset(preset))
+        levels = galerkin_levels(M, F, hierarchy.prolongations)
+        assert levels[-1][0] is M and levels[-1][1] is F
+        csr = [(M.tocsr(), F.tocsr())]
+        for R in reversed(hierarchy.prolongations):
+            csr.append(tuple((R.T @ X @ R).tocsr() for X in csr[-1]))
+        for level, (pair, ref) in enumerate(zip(levels, csr[::-1])):
+            for X, Y in zip(pair, ref):
+                assert X.format == "dia"
+                assert np.array_equal(X.offsets, stencil_offsets(2 ** (level + 2)))
+                for name in ("data", "indices", "indptr"):
+                    assert getattr(X.tocsr(), name).tobytes() == getattr(Y, name).tobytes()
+
+    def test_on_stencil_keeps_other_matrices_csr(self):
+        grid = sp.identity(25, format="csr")
+        assert on_stencil(grid).format == "dia"
+        # node 0 coupled with node 2, two to its right: no stencil edge
+        wide = grid + sp.csr_matrix(([1.0], ([0], [2])), shape=(25, 25))
+        Y = on_stencil(wide)
+        assert Y.format == "csr" and (Y != wide).nnz == 0
 
     def test_recursion_bypasses_public_solve(self):
         # one subsolve is one call of solve, however many levels it visits

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,7 +13,7 @@ from irkprec.butcher import (butcher_preconditioner_matrix, gauss_legendre,
                              nystrom_from, radau_iia)
 from irkprec.driver import method_tableau, mms_problem, timestep_rule
 from irkprec.errors import FactorizationError, ResourceLimitError
-from irkprec.mesh import build_hierarchy, build_mesh
+from irkprec.mesh import build_hierarchy, build_mesh, diagonal_layout
 from irkprec.precond import build_preconditioner
 from irkprec.stageop import StageOperator, build_stage_rhs
 
@@ -125,9 +127,11 @@ class TestSpmv:
         M = assemble_mass(mesh)
         F = assemble_stiffness(mesh, coefficient_preset("variable"))
         R = build_hierarchy(2).prolongations[0]  # CSR, not square
-        return {"F": F, "M + cF": (M + (0.3 + 0.2j) * F).tocsr(), "R": R, "R^T": R.T.tocsr()}
+        S = stageop.block_matrix(M, F, 0.3 + 0.2j)
+        return {"F": F, "F (CSR)": F.tocsr(), "M + cF": S, "M + cF (CSR)": S.tocsr(),
+                "R": R, "R^T": R.T.tocsr()}
 
-    @pytest.mark.parametrize("name", ["F", "M + cF", "R", "R^T"])
+    @pytest.mark.parametrize("name", ["F", "F (CSR)", "M + cF", "M + cF (CSR)", "R", "R^T"])
     @pytest.mark.parametrize("x_complex", [False, True])
     @pytest.mark.parametrize("m", [None, 3])
     def test_bit_equal_to_matmul(self, operands, name, x_complex, m):
@@ -157,6 +161,84 @@ class TestSpmv:
             stageop.spmv(F, np.ones(n - 1), np.empty(n))  # the kernel reads x[:n]
         with pytest.raises(ValueError):
             stageop.spmv(F.tocsc(), x, np.empty(n))
+
+
+def stencil_csr(A):
+    """The CSR form of the DIA grid matrix A on the full stencil pattern:
+    every in-grid stencil entry stored, explicit zeros too, columns
+    ascending; the row wraps are not in it."""
+    N = A.shape[0]
+    offsets, slots = diagonal_layout(math.isqrt(N) - 1)
+    diagonal, cols = np.divmod(np.unique(slots), N)
+    rows = cols - offsets[diagonal]
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=N))))
+    return sp.csr_matrix((A.data[diagonal, cols][order], cols[order], indptr), shape=(N, N))
+
+
+class TestDiagonalStorage:
+    """spmv on a grid matrix in diagonal storage writes the bytes of the
+    CSR product, on every row, boundary rows included."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(k=st.integers(1, 6), complex_data=st.booleans(), complex_x=st.booleans(),
+           m=st.sampled_from([None, 1, 3]), zeros=st.sampled_from([0.0, 0.3, 1.0]),
+           seed=st.integers(0, 2 ** 16))
+    def test_bytes_equal_csr_product(self, k, complex_data, complex_x, m, zeros, seed):
+        # random values on the stencil entries, a share of them explicit
+        # +0 or -0, and zeros on the row wraps, as the assembly leaves them;
+        # x has +0 and -0 entries too, so that products of zeros are signed
+        n = 2 ** (k + 1)
+        N = (n + 1) ** 2
+        offsets, slots = diagonal_layout(n)
+        stored = np.unique(slots)
+        rng = np.random.default_rng(seed)
+
+        def draw(shape, is_complex, zero_share):
+            v = rng.standard_normal(shape)
+            if is_complex:
+                v = v + 1j * rng.standard_normal(shape)
+            hit = rng.random(shape) < zero_share
+            v[hit] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[hit]
+            return v
+
+        data = np.zeros(7 * N, np.complex128 if complex_data else float)
+        data[stored] = draw(stored.size, complex_data, zeros)
+        A = sp.dia_matrix((data.reshape(7, N), offsets), shape=(N, N))
+        x = draw((N,) if m is None else (N, m), complex_x, 0.1)
+        expected = stencil_csr(A) @ x
+        for B in (A, stencil_csr(A), A.tocsr()):
+            out = np.full(expected.shape, np.nan, expected.dtype)
+            assert stageop.spmv(B, x, out) is out
+            assert out.tobytes() == expected.tobytes()
+
+    def test_non_finite_x_reaches_padded_entries(self):
+        # DIA adds 0 x_q for the zeros on the row wraps, so an inf in x
+        # gives NaN there, where the CSR product skips the entry
+        n = 4
+        N = (n + 1) ** 2
+        A = assemble_mass(build_mesh(1))
+        x = np.ones(N)
+        x[n + 1] = np.inf                    # node (0, 1); node (n, 0) wraps onto it
+        dia = stageop.spmv(A, x, np.empty(N))
+        csr = stageop.spmv(stencil_csr(A), x, np.empty(N))
+        assert np.isnan(dia[n]) and np.isfinite(csr[n])
+        finite = np.ones(N)
+        assert stageop.spmv(A, finite, np.empty(N)).tobytes() == (stencil_csr(A) @ finite).tobytes()
+
+    @pytest.mark.parametrize("c", [0.3, 0.3 + 0.2j])
+    def test_block_matrix_is_scipys_sum(self, c):
+        mesh = build_mesh(3)
+        M, F = assemble_mass(mesh), assemble_stiffness(mesh, coefficient_preset("variable"))
+        S = stageop.block_matrix(M, F, c)
+        assert S.format == "dia" and np.array_equal(S.offsets, M.offsets)
+        assert S.data.tobytes() == (M.data + c * F.data).tobytes()
+        ref = M.tocsr() + c * F.tocsr()
+        for name in ("data", "indices", "indptr"):
+            assert getattr(S.tocsr(), name).tobytes() == getattr(ref, name).tobytes()
+        # a pair off shared diagonals goes through scipy's sum
+        other = stageop.block_matrix(M.tocsr(), F, c)
+        assert other.format == "csr" and (other != ref).nnz == 0
 
 
 class TestMaterialize:
@@ -429,10 +511,13 @@ class TestFactor:
         M, F = level6
         S = M + 0.03 * F
         N, side = S.shape[0], 129
-        # node (1, 0) coupled with (0, 1), and (0, 0) with (2, 0): no stencil edges
-        outside = [S + sp.csr_matrix(([1e-3, 1e-3], ([i, j], [j, i])), shape=(N, N))
+        # node (1, 0) coupled with (0, 1), and (0, 0) with (2, 0): no stencil
+        # edges, so diagonal storage needs a diagonal off the stencil
+        outside = [(S + sp.csr_matrix(([1e-3, 1e-3], ([i, j], [j, i])), shape=(N, N))).todia()
                    for i, j in ((1, side), (0, 2))]
-        for block in [small] + outside:
+        assert all(block.offsets.size == 9 for block in outside)
+        # a grid block given in CSR storage carries no stencil to read
+        for block in [small, S.tocsr()] + outside:
             lu = stageop.factor(block)
             assert lu.order is None                     # minimum degree
             b = np.ones(block.shape[0])
@@ -452,7 +537,7 @@ class TestFactor:
             mesh = build_mesh(level)
             M, F = assemble_mass(mesh), assemble_stiffness(mesh, coefficient_preset("variable"))
         U = sp.triu(F, 1)
-        S = (M + c * F + 0.1 * (U - U.T)).tocsr()
+        S = (M + c * F + 0.1 * (U - U.T)).todia()
         lu = stageop.factor(S)
         assert (lu.order is not None) == (level == 6)
         rng = np.random.default_rng(level)
