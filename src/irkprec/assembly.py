@@ -41,6 +41,7 @@ the joint pass over driver.mms_problem's two forcing modes takes about
 25 ms with one BLAS thread on a 2-core x86_64 host.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,7 +50,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .errors import CoefficientError
-from .mesh import diagonal_layout
+from .mesh import diagonal_layout, stencil_offsets
 
 # Six-point symmetric triangle rule, exact for degree 4; weights sum to 1
 # so that integral over K = area * sum_q w_q f(x_q).
@@ -302,11 +303,30 @@ def assemble_load(mesh, f):
     return assemble_loads(mesh, lambda x, y: (f(x, y),))[0]
 
 
+def stencil_csr(A):
+    """The CSR form of a grid matrix A (DIA on the stencil diagonals of
+    mesh.diagonal_layout) on the full stencil pattern: every in-grid
+    stencil entry stored, explicit zeros too, columns ascending; the
+    padded slots (row wraps, ends of the outer diagonals) are not. Any
+    other matrix: A.tocsr()."""
+    N = A.shape[0]
+    n = math.isqrt(N) - 1
+    if (A.format != "dia" or A.shape != (N, N) or (n + 1) ** 2 != N
+            or not np.array_equal(A.offsets, stencil_offsets(n))):
+        return A.tocsr()
+    offsets, slots = diagonal_layout(n)
+    diagonal, cols = np.divmod(np.unique(slots), N)
+    rows = cols - offsets[diagonal]
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=N))))
+    return sp.csr_matrix((A.data[diagonal, cols][order], cols[order], indptr), shape=(N, N))
+
+
 def write_matrix_market(matrix, path):
-    """Matrix Market coordinate export of the nonzero entries (a DIA
-    matrix's explicit zeros are not written) with enough digits for an
-    exact round trip of doubles."""
-    scipy.io.mmwrite(path, sp.coo_matrix(matrix), precision=17)
+    """Matrix Market coordinate export with enough digits for an exact
+    round trip of doubles. A grid matrix in DIA storage is written on its
+    stencil pattern (stencil_csr), exact zeros included."""
+    scipy.io.mmwrite(path, sp.coo_matrix(stencil_csr(matrix)), precision=17)
 
 
 def read_matrix_market(path):

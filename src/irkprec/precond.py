@@ -7,9 +7,9 @@ which need only M, F and the prolongations R of a mesh hierarchy.
 
 Each coarse level is put onto its grid's 7 stencil diagonals once per
 build (DIA storage, as the assembled M and F), so every level's M_l + c
-F_l is the sum of two data arrays on shared offsets
-(stageop.block_matrix) and its sweeps and residuals are DIA products;
-the prolongations and their stored transposes stay CSR.
+F_l is the sum of two data arrays on shared offsets (scipy's DIA sum)
+and its sweeps and residuals are DIA products; the prolongations and
+their stored transposes stay CSR.
 
 Stage vectors are stage-major, as in stageop: the preconditioner's
 apply_inverse takes and returns x[i*N:(i+1)*N] as the i-th stage block,
@@ -35,7 +35,7 @@ import scipy.sparse as sp
 from .butcher import PreconditionerKind, butcher_preconditioner_matrix
 from .errors import SubsolveError
 from .mesh import stencil_offsets
-from .stageop import StageOperator, block_matrix, factor, spmv
+from .stageop import StageOperator, factor, spmv
 
 SMOOTHER_DAMPING = 2.0 / 3.0
 PRE_SWEEPS = 2
@@ -43,10 +43,11 @@ POST_SWEEPS = 2
 
 
 def galerkin_levels(M, F, prolongations):
-    """[(M_l, F_l)] from coarsest to finest: M, F on the finest level and
+    """[(M_l, F_l)] from coarsest to finest: M, F on the finest level (as
+    StageOperator keeps them: DIA as it is, any other format as CSR) and
     R^T X R of the next finer level below it, R = prolongations[l], each
     coarse level put once onto its grid's stencil diagonals (on_stencil)."""
-    levels = [(M, F)]
+    levels = [tuple(X if X.format == "dia" else X.tocsr() for X in (M, F))]
     for R in reversed(prolongations):
         levels.append(tuple(on_stencil(R.T @ X @ R) for X in levels[-1]))
     return levels[::-1]
@@ -78,8 +79,7 @@ def restrictions(prolongations):
 class VCycleSubsolver:
     """One geometric V(2,2) cycle for M + c F on the Galerkin levels
     (M_l, F_l) of galerkin_levels, coarse to fine; each level matrix is
-    stageop.block_matrix(M_l, F_l, c), and its diagonal d is the offset-0
-    row of its DIA data.
+    M_l + c F_l, and d is its diagonal.
 
     Damped Jacobi (omega = 2/3) smoothing, residual restriction by the
     stored transpose of the interpolation (`restrictions`, shared by every
@@ -88,7 +88,7 @@ class VCycleSubsolver:
     """
 
     def __init__(self, levels, prolongations, restrictions, c):
-        self.S = [block_matrix(Ml, Fl, c) for Ml, Fl in levels]
+        self.S = [Ml + c * Fl for Ml, Fl in levels]
         self.diag = [S.diagonal() for S in self.S]
         if any(np.any(d == 0.0) for d in self.diag):
             raise SubsolveError("zero diagonal entry in multigrid level matrix")

@@ -454,3 +454,18 @@ class TestMatrixMarket:
         write_matrix_market(F, path)
         back = read_matrix_market(path)
         assert (F != back).nnz == 0  # element-wise exact
+
+    def test_writes_the_stencil_pattern(self, tmp_path):
+        # every in-grid stencil entry is written, the exact zeros of the
+        # constant-diffusion hypotenuse couplings too, and no padded slot
+        mesh = build_mesh(2)
+        n, N = mesh.n, mesh.num_nodes
+        F = assemble_stiffness(mesh, coefficient_preset("constant-diffusion"))
+        path = tmp_path / "stiffness.mtx"
+        write_matrix_market(F, path)
+        back = read_matrix_market(path)
+        # the diagonal, and two entries per horizontal, vertical and
+        # diagonal grid edge
+        assert back.nnz == N + 2 * (2 * n * (n + 1) + n * n)
+        assert np.sum(back.data == 0.0) > 0
+        assert (F != back).nnz == 0

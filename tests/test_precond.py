@@ -359,6 +359,24 @@ class TestVCycleSubsolves:
                                  subsolve="vcycle",
                                  hierarchy=build_hierarchy(2))
 
+    @pytest.mark.parametrize("fmt", ["csc", "coo"])
+    def test_vcycle_takes_any_sparse_format(self, fmt):
+        # build_preconditioner passes M and F straight to the V-cycle; in
+        # another format than DIA they are used as CSR, and the cycle
+        # gives the values of the assembled DIA matrices' cycle
+        k = 3
+        mesh = build_mesh(k)
+        M = assemble_mass(mesh)
+        F = assemble_stiffness(mesh, coefficient_preset("constant-diffusion"))
+        t, hierarchy = radau_iia(2), build_hierarchy(k)
+        dia = build_preconditioner(t, "LD", M, F, 0.3, 1, subsolve="vcycle",
+                                   hierarchy=hierarchy)
+        other = build_preconditioner(t, "LD", M.asformat(fmt), F.asformat(fmt), 0.3, 1,
+                                     subsolve="vcycle", hierarchy=hierarchy)
+        assert all(S.format == "csr" for sub in other.subsolvers for S in sub.S[-1:])
+        r = np.random.default_rng(11).standard_normal(dia.size)
+        assert np.array_equal(other.apply_inverse(r), dia.apply_inverse(r))
+
     def test_needs_only_matrices_and_hierarchy(self, tmp_path):
         # M and F read back from Matrix Market files carry no mesh or
         # coefficient field, and the V-cycle needs neither

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +6,7 @@ from scipy.sparse.linalg import splu
 
 from irkprec import stageop
 from irkprec.assembly import (assemble_load, assemble_mass, assemble_stiffness,
-                              coefficient_preset)
+                              coefficient_preset, stencil_csr)
 from irkprec.butcher import (butcher_preconditioner_matrix, gauss_legendre,
                              nystrom_from, radau_iia)
 from irkprec.driver import method_tableau, mms_problem, timestep_rule
@@ -127,7 +125,7 @@ class TestSpmv:
         M = assemble_mass(mesh)
         F = assemble_stiffness(mesh, coefficient_preset("variable"))
         R = build_hierarchy(2).prolongations[0]  # CSR, not square
-        S = stageop.block_matrix(M, F, 0.3 + 0.2j)
+        S = M + (0.3 + 0.2j) * F
         return {"F": F, "F (CSR)": F.tocsr(), "M + cF": S, "M + cF (CSR)": S.tocsr(),
                 "R": R, "R^T": R.T.tocsr()}
 
@@ -161,19 +159,6 @@ class TestSpmv:
             stageop.spmv(F, np.ones(n - 1), np.empty(n))  # the kernel reads x[:n]
         with pytest.raises(ValueError):
             stageop.spmv(F.tocsc(), x, np.empty(n))
-
-
-def stencil_csr(A):
-    """The CSR form of the DIA grid matrix A on the full stencil pattern:
-    every in-grid stencil entry stored, explicit zeros too, columns
-    ascending; the row wraps are not in it."""
-    N = A.shape[0]
-    offsets, slots = diagonal_layout(math.isqrt(N) - 1)
-    diagonal, cols = np.divmod(np.unique(slots), N)
-    rows = cols - offsets[diagonal]
-    order = np.lexsort((cols, rows))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=N))))
-    return sp.csr_matrix((A.data[diagonal, cols][order], cols[order], indptr), shape=(N, N))
 
 
 class TestDiagonalStorage:
@@ -226,19 +211,20 @@ class TestDiagonalStorage:
         finite = np.ones(N)
         assert stageop.spmv(A, finite, np.empty(N)).tobytes() == (stencil_csr(A) @ finite).tobytes()
 
-    @pytest.mark.parametrize("c", [0.3, 0.3 + 0.2j])
-    def test_block_matrix_is_scipys_sum(self, c):
+    @pytest.mark.parametrize("c", [0.3, np.float64(0.3), 0.3 + 0.2j, np.complex128(0.3 + 0.2j)])
+    def test_block_sum_stays_on_the_diagonals(self, c):
+        # lu_block and the V-cycle form M + c F with scipy's sum; for two
+        # DIA matrices on the same offsets it must stay DIA on them, with
+        # the data M.data + c F.data, for the nested-dissection order and
+        # the DIA sweeps to apply
         mesh = build_mesh(3)
         M, F = assemble_mass(mesh), assemble_stiffness(mesh, coefficient_preset("variable"))
-        S = stageop.block_matrix(M, F, c)
+        S = M + c * F
         assert S.format == "dia" and np.array_equal(S.offsets, M.offsets)
         assert S.data.tobytes() == (M.data + c * F.data).tobytes()
         ref = M.tocsr() + c * F.tocsr()
         for name in ("data", "indices", "indptr"):
             assert getattr(S.tocsr(), name).tobytes() == getattr(ref, name).tobytes()
-        # a pair off shared diagonals goes through scipy's sum
-        other = stageop.block_matrix(M.tocsr(), F, c)
-        assert other.format == "csr" and (other != ref).nnz == 0
 
 
 class TestMaterialize:
