@@ -27,7 +27,7 @@ class ProblemSpec:
     profiles scaled by functions of time alone. Since the load <g, phi>
     is linear in g, every stage load is sum_m a_m(t) <p_m, phi>:
     stageop.build_stage_rhs assembles the two mode loads in one joint
-    pass (about 25 ms at k=6, whatever s is) and combines them, for
+    pass (about 17 ms at k=6, whatever s is) and combines them, for
     `gmres`' one step as for every step of a march. Called as a function,
     g gives the values of the summed forcing.
     """
@@ -106,18 +106,14 @@ def mms_problem(name, coeff):
         # w, then K w = -alpha Lap w - grad alpha . grad w + beta w with
         # Lap w = -2 pi^2 w. They share one cos and one sin per coordinate;
         # each value is the product w(x, y) or -pi sin cos would form on its
-        # own. w is yielded (and its load contracted) before the gradient
-        # terms are formed, and each shared array is dropped once its last
-        # use is made: kept alive longer, they raised the peak RSS of the
-        # k=3..6 marches by about 2 MB.
+        # own. Assembly calls this a chunk of triangles at a time, so the
+        # arrays it holds are small.
         px, py = pi * x, pi * y
         cx, cy = np.cos(px), np.cos(py)
         w_xy = cx * cy
         yield w_xy
         wx = -pi * np.sin(px) * cy
-        del px
         wy = -pi * cx * np.sin(py)
-        del py, cx, cy
         gax, gay = coeff.grad_alpha(x, y)
         yield (2.0 * pi ** 2 * coeff.alpha(x, y) * w_xy
                - gax * wx - gay * wy + coeff.beta(x, y) * w_xy)

@@ -74,7 +74,7 @@ def _build_mesh_n(n):
     X, Y = np.meshgrid(xs, xs)
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    ll = _square_corners(n)
+    ll = _square_corners(n, n)
     triangles = np.empty((n * n, 2, 3), dtype=np.int64)
     for half, corners in enumerate(_SQUARE_HALVES):
         for i, (dx, dy) in enumerate(corners):
@@ -90,10 +90,10 @@ def _build_mesh_n(n):
                    boundary_nodes=boundary)
 
 
-def _square_corners(n):
-    """Lower-left node of each of the n^2 squares, rows of squares by y
-    then x, as the triangles are ordered."""
-    return (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+def _square_corners(n, rows):
+    """Lower-left node of each square of the first `rows` of the n rows
+    of squares, rows by y then x, as the triangles are ordered."""
+    return (np.arange(rows)[:, None] * (n + 1) + np.arange(n)).ravel()
 
 
 def stencil_offsets(n):
@@ -102,29 +102,35 @@ def stencil_offsets(n):
     return np.array([dx + (n + 1) * dy for dx, dy in _STENCIL])
 
 
-def diagonal_layout(n):
+def diagonal_layout(n, rows=None):
     """Diagonal (DIA) storage of the P1 matrices on the (n+1)^2 grid, and
-    where each element entry goes in it.
+    where each element entry of a band of square rows goes in it.
 
-    Returns (offsets, slots): offsets is stencil_offsets(n), and slots[t,
-    3 i + j] = d N + q places the entry (p, q) = (triangles[t, i],
-    triangles[t, j]) of the triangles of build_mesh's mesh with n squares
-    per side in row d of a (7, N) data array, column q, where q - p =
-    offsets[d] (scipy's dia_matrix keeps entry (q - offsets[d], q) in
-    data[d, q]). The slots of a row's stencil entries are then in
-    ascending column order, as in CSR. Computed from n by index arithmetic
-    alone, so nothing needs caching between calls.
+    Returns (offsets, slots): offsets is stencil_offsets(n), and slots
+    covers the triangles of `rows` consecutive square rows (all n by
+    default), in build_mesh's order, and the rows + 1 node rows they
+    touch, a band of B = (rows + 1)(n + 1) nodes counted from its first
+    node. slots[t, 3 i + j] = d B + q places the entry (p, q) of the
+    band's t-th triangle, p its vertex i and q its vertex j, in row d of
+    the band's (7, B) data array, column q, where q - p = offsets[d]
+    (scipy's dia_matrix keeps entry (q - offsets[d], q) in data[d, q]).
+    The slots of a row's stencil entries are then in ascending column
+    order, as in CSR. Every band of the same height has the same slots;
+    with rows = n the band is the whole grid (B = N). Computed from n
+    and rows by index arithmetic alone, so nothing needs caching between
+    calls.
     """
+    rows = n if rows is None else rows
     side = n + 1
-    N = side * side
+    band = (rows + 1) * side
     column = {d: o for o, d in enumerate(_STENCIL)}
-    # slots[square, half, i, j] = N d + corner_j, one gather at corner_j =
+    # slots[square, half, i, j] = B d + corner_j, one gather at corner_j =
     # square's node + a constant
-    lookup = np.array([[[N * column[xj - xi, yj - yi] + xj + side * yj
+    lookup = np.array([[[band * column[xj - xi, yj - yi] + xj + side * yj
                          for xj, yj in corners] for xi, yi in corners]
                        for corners in _SQUARE_HALVES])
-    slots = _square_corners(n)[:, None, None, None] + lookup
-    return stencil_offsets(n), slots.reshape(2 * n * n, 9)
+    slots = _square_corners(n, rows)[:, None, None, None] + lookup
+    return stencil_offsets(n), slots.reshape(2 * rows * n, 9)
 
 
 def nested_dissection(n):

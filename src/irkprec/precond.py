@@ -27,14 +27,11 @@ work vector, so a later solve does not overwrite it. One subsolver must
 not be called re-entrantly, nor from two threads at once.
 """
 
-import math
-
 import numpy as np
-import scipy.sparse as sp
 
+from .assembly import on_stencil
 from .butcher import PreconditionerKind, butcher_preconditioner_matrix
 from .errors import SubsolveError
-from .mesh import stencil_offsets
 from .stageop import StageOperator, factor, spmv
 
 SMOOTHER_DAMPING = 2.0 / 3.0
@@ -51,23 +48,6 @@ def galerkin_levels(M, F, prolongations):
     for R in reversed(prolongations):
         levels.append(tuple(on_stencil(R.T @ X @ R) for X in levels[-1]))
     return levels[::-1]
-
-
-def on_stencil(X):
-    """The N x N matrix X as a DIA matrix on the 7 stencil diagonals of
-    the (n+1)^2 grid, N = (n+1)^2 (mesh.stencil_offsets), explicit zeros
-    where X stores no entry; X as CSR if it has an entry off them. The
-    Galerkin product of P1 matrices with the P1 prolongation keeps to
-    the coarse stencil."""
-    X = X.tocoo()
-    offsets = stencil_offsets(math.isqrt(X.shape[0]) - 1)
-    offset = X.col - X.row
-    diagonal = np.searchsorted(offsets, offset).clip(max=offsets.size - 1)
-    if np.any(offsets[diagonal] != offset):
-        return X.tocsr()
-    data = np.zeros((offsets.size, X.shape[1]), X.dtype)
-    data[diagonal, X.col] = X.data
-    return sp.dia_matrix((data, offsets), shape=X.shape)
 
 
 def restrictions(prolongations):

@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 
+from irkprec import assembly, stageop
 from irkprec.assembly import (PRESETS, QUAD_PHI, QUAD_POINTS, QUAD_WEIGHTS,
-                              CoefficientField, assemble_load, assemble_mass,
-                              assemble_stiffness, coefficient_preset,
-                              read_matrix_market, write_matrix_market)
-from irkprec.driver import PROBLEM_NAMES, mms_problem
+                              CoefficientField, assemble_load, assemble_loads,
+                              assemble_mass, assemble_stiffness,
+                              coefficient_preset, read_matrix_market,
+                              write_matrix_market)
+from irkprec.driver import PROBLEM_NAMES, forcing_loads, mms_problem
 from irkprec.errors import CoefficientError
 from irkprec.mesh import build_mesh, diagonal_layout, stencil_offsets
 
@@ -367,6 +371,15 @@ def oracle_mesh(k, jitter):
 
 MESHES = [(k, jitter) for k in (1, 2, 3, 4, 5) for jitter in (False, True)]
 
+# Chunk sizes in triangles other than the default: one square row at a
+# time (the most chunk boundaries) and the whole mesh in one chunk.
+CHUNKS = {"one-row": 1, "whole-mesh": 2 ** 40}
+
+
+@pytest.fixture(params=list(CHUNKS))
+def chunk(request, monkeypatch):
+    monkeypatch.setattr(assembly, "CHUNK_TRIANGLES", CHUNKS[request.param])
+
 
 class TestBitForBit:
     @pytest.mark.parametrize("k,jitter", MESHES)
@@ -414,6 +427,84 @@ class TestBitForBit:
         shape = (mesh.num_triangles, len(QUAD_WEIGHTS))
         assert calls == [(shape, shape, np.float64, np.float64, True, True)]
 
+    def test_load_calls_f_once_a_chunk(self, monkeypatch):
+        # one square row (2n triangles) a chunk: one call each, in order
+        monkeypatch.setattr(assembly, "CHUNK_TRIANGLES", 1)
+        mesh = build_mesh(3)
+        calls = []
+
+        def f(x, y):
+            calls.append((x.shape, y.shape, x.dtype, y.dtype,
+                          x.flags.c_contiguous, y.flags.c_contiguous))
+            return x * y
+
+        assemble_load(mesh, f)
+        shape = (2 * mesh.n, len(QUAD_WEIGHTS))
+        assert calls == [(shape, shape, np.float64, np.float64, True, True)] * mesh.n
+        assert sum(x_shape[0] for x_shape, *_ in calls) == mesh.num_triangles
+
+
+@pytest.mark.usefixtures("chunk")
+class TestBitForBitInChunks:
+    """TestBitForBit's checks of M, F and the loads with the chunk size
+    patched to one square row and to the whole mesh."""
+
+    test_mass = TestBitForBit.test_mass
+    test_stiffness = TestBitForBit.test_stiffness
+    test_load = TestBitForBit.test_load
+
+
+class TestChunks:
+    """Assembly a chunk of square rows at a time."""
+
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_no_modes_give_no_rows(self, k, chunk):
+        mesh = build_mesh(k)
+        loads = assemble_loads(mesh, lambda x, y: ())
+        assert loads.shape == (0, mesh.num_nodes) and loads.dtype == np.float64
+
+    def test_mode_count_must_not_change_between_chunks(self, monkeypatch):
+        monkeypatch.setattr(assembly, "CHUNK_TRIANGLES", 1)
+        calls = []
+
+        def profiles(x, y):
+            calls.append(x.shape)
+            return (x,) * len(calls)
+
+        with pytest.raises(ValueError):
+            assemble_loads(build_mesh(2), profiles)
+
+    def test_first_bad_chunk_is_reported(self, monkeypatch):
+        # alpha < 0 only in the top square row: every earlier chunk passes
+        # the check, the last one raises and reports its own range
+        monkeypatch.setattr(assembly, "CHUNK_TRIANGLES", 1)
+        mesh = build_mesh(2)
+        top = 1.0 - mesh.h
+        field = CoefficientField(alpha=lambda x, y: np.where(y > top, -1.0, 1.0),
+                                 beta=lambda x, y: np.zeros_like(x))
+        with pytest.raises(CoefficientError, match=r"values in \[-1.0, -1.0\]"):
+            assemble_stiffness(mesh, field)
+
+    @pytest.mark.parametrize("name,k", [("mass", 7), ("stiffness", 7), ("loads", 8)])
+    def test_traced_peak_is_at_most_three_results(self, name, k):
+        # a chunk's temporaries are a few MB whatever k; the two mms
+        # forcing loads are a quarter of a matrix's bytes, so they are
+        # checked at k=8, where those few MB are less than two results
+        mesh = build_mesh(k)
+        assemble = {
+            "mass": lambda: assemble_mass(mesh),
+            "stiffness": lambda: assemble_stiffness(mesh, coefficient_preset("variable")),
+            "loads": lambda: forcing_loads(mms_problem("pennes", "variable"), mesh),
+        }[name]
+        tracemalloc.start()
+        try:
+            result = assemble()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = result.data.nbytes if name != "loads" else result.nbytes
+        assert peak <= 3 * size, (peak, size)
+
 
 class TestStencilLayout:
     """mesh.diagonal_layout: where the stencil's entries sit in diagonal
@@ -431,6 +522,22 @@ class TestStencilLayout:
         rows, expected_cols = element_entries(mesh)
         assert np.array_equal(cols, expected_cols)
         assert np.array_equal(cols - offsets[diagonal], rows)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_bands_are_the_whole_grids_shifted(self, k):
+        # the triangles of square rows first .. first + rows - 1 land on
+        # the whole grid's slots, moved to the band's first node and to
+        # its B = (rows + 1)(n + 1) columns a diagonal
+        n = build_mesh(k).n
+        N = (n + 1) ** 2
+        _, whole = diagonal_layout(n)
+        for rows in range(1, n + 1):
+            _, slots = diagonal_layout(n, rows)
+            B = (rows + 1) * (n + 1)
+            assert slots.shape == (2 * n * rows, 9)
+            for first in range(n - rows + 1):
+                diagonal, cols = np.divmod(whole[2 * n * first:2 * n * (first + rows)], N)
+                assert np.array_equal(slots, diagonal * B + cols - first * (n + 1))
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_pattern_is_that_of_coo_to_csr(self, k):
@@ -463,9 +570,41 @@ class TestMatrixMarket:
         F = assemble_stiffness(mesh, coefficient_preset("constant-diffusion"))
         path = tmp_path / "stiffness.mtx"
         write_matrix_market(F, path)
-        back = read_matrix_market(path)
+        back = scipy.io.mmread(path)   # the file's entries, as written
         # the diagonal, and two entries per horizontal, vertical and
         # diagonal grid edge
         assert back.nnz == N + 2 * (2 * n * (n + 1) + n * n)
         assert np.sum(back.data == 0.0) > 0
         assert (F != back).nnz == 0
+
+    @pytest.mark.parametrize("k,jitter", [(1, False), (3, False), (3, True)])
+    def test_grid_matrices_read_back_onto_their_diagonals(self, tmp_path, k, jitter):
+        mesh = oracle_mesh(k, jitter)
+        for A in (assemble_mass(mesh), assemble_stiffness(mesh, coefficient_preset("variable")),
+                  assemble_stiffness(mesh, coefficient_preset("constant-diffusion"))):
+            write_matrix_market(A, tmp_path / "A.mtx")
+            back = read_matrix_market(tmp_path / "A.mtx")
+            assert back.format == "dia"
+            assert np.array_equal(back.offsets, A.offsets)
+            assert_same_bits(back.data, A.data)
+
+    def test_read_back_block_factors_in_nested_dissection(self, tmp_path):
+        # a k=6 block of read-back M and F is a grid block, as assembled
+        mesh = build_mesh(6)
+        M = assemble_mass(mesh)
+        F = assemble_stiffness(mesh, coefficient_preset("variable"))
+        for name, A in (("M", M), ("F", F)):
+            write_matrix_market(A, tmp_path / f"{name}.mtx")
+        M, F = (read_matrix_market(tmp_path / f"{name}.mtx") for name in "MF")
+        assert mesh.num_nodes >= stageop.ND_MIN_NODES
+        assert stageop.factor(M + 0.1 * F).order is not None
+
+    def test_other_matrices_read_back_as_csr(self, tmp_path):
+        # no grid's shape, or an entry off the stencil diagonals
+        wide = sp.csr_matrix(([1.0, 2.0], ([0, 0], [0, 2])), shape=(25, 25))
+        for A in (sp.identity(24, format="csr"), sp.random(9, 4, density=0.5, random_state=0),
+                  wide):
+            write_matrix_market(A, tmp_path / "A.mtx")
+            back = read_matrix_market(tmp_path / "A.mtx")
+            assert back.format == "csr" and back.shape == A.shape
+            assert (back != A).nnz == 0

@@ -5,14 +5,14 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from irkprec.assembly import (assemble_mass, assemble_stiffness, coefficient_preset,
-                              read_matrix_market, write_matrix_market)
+                              on_stencil, read_matrix_market, write_matrix_market)
 from irkprec.butcher import gauss_legendre, nystrom_from, radau_iia
 from irkprec.errors import SubsolveError
 from irkprec.krylov import gmres
 from irkprec.mesh import build_hierarchy, build_mesh, stencil_offsets
 from irkprec.precond import (POST_SWEEPS, PRE_SWEEPS, SMOOTHER_DAMPING,
                              BlockPreconditioner, VCycleSubsolver, build_preconditioner,
-                             galerkin_levels, on_stencil, restrictions)
+                             galerkin_levels, restrictions)
 from irkprec.stageop import StageOperator
 
 ALL_KINDS = ("J", "GSL", "TRIU", "LD", "DU")
