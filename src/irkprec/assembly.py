@@ -20,32 +20,35 @@ every row the CLI reports, and the golden rows
 tests/test_assembly.py keeps the plain formulas as references.
 
 M and F are born in diagonal (DIA) storage: a scipy dia_matrix on the 7
-offsets of the mesh's stencil, ascending (mesh.diagonal_layout), whose
-(7, N) data array np.bincount fills. M and F of one mesh share the same
-offsets, so M + c F is the sum of their data arrays. Slots off the grid
-(row wraps and the ends of the outer diagonals) stay explicit zeros.
-bincount adds the terms of an entry one at a time in element order, as
-the loads do; scipy's COO -> CSR conversion sums them in its own per-row
-sort order, which gives the same bits only where every term is exact
-(the uniform mesh with constant coefficients).
+offsets of the mesh's stencil, ascending (mesh.stencil_offsets). M and F
+of one mesh share the same offsets, so M + c F is the sum of their data
+arrays. Slots off the grid (row wraps and the ends of the outer
+diagonals) stay explicit zeros.
+
+On build_mesh's triangulation every element entry (i, j) of a lower or
+upper half h lands on one fixed stencil diagonal d, in the column of a
+fixed corner (x, y) of its square. So each of the 18 terms of
+mesh.MATRIX_TERMS is one in-place add of the squares' entries (i, j) of
+half h onto diagonal d's data, viewed as the (n+1)^2 grid and shifted by
+(x, y); the 6 of mesh.LOAD_TERMS do the same for the loads. The tables
+are sorted by the element order of the contributing triangle relative to
+the entry (its square row, its square, then the lower half before the
+upper), so every entry receives its terms one add at a time, in element
+order, from +0.0. Fusing two terms before adding them would reorder the
+sums. scipy's COO -> CSR conversion sums them in its own per-row sort
+order, which gives the same bits only where every term is exact (the
+uniform mesh with constant coefficients).
 
 Matrices and loads are assembled in chunks of whole square rows, about
-CHUNK_TRIANGLES triangles each, in element order. A chunk forms its own
-geometry, quadrature points, coefficient values and local matrices, and
-adds them into the band of nodes its rows touch, by one bincount whose
-input starts with the band's running sums. Since bincount adds in input
-order from 0, every entry is still summed term by term in element order
-from 0, and M, F and the loads are bit for bit those of one bincount
-over the whole mesh. A matrix chunk takes its slots from
-diagonal_layout(n, rows), the layout of a band of its height, so no slot
-array of the whole mesh is made, and only the band's first node row
-holds running sums. A chunk's temporaries are a few MB whatever the
-mesh: at k=8 (T = 524288) the traced peak of assemble_mass, of
-assemble_stiffness with a variable field and of the two mms forcing
+CHUNK_TRIANGLES triangles each, in element order, each chunk forming its
+own geometry, quadrature points, coefficient values and local matrices.
+Of the node rows its squares touch, only the first already holds sums,
+those of the chunk before, so M, F and the loads are bit for bit those
+of one pass over the whole mesh. A chunk's temporaries are a few MB
+whatever the mesh: at k=8 (T = 524288) the traced peak of assemble_mass,
+of assemble_stiffness with a variable field and of the two mms forcing
 loads is 1.1x, 1.4x and 2.6x its result (6.4x, 21.6x and 66x in one
-piece), and each takes 0.4-0.65x the time, as a chunk's arrays stay in
-cache (one BLAS thread, 2-core x86_64 host). On meshes of one chunk
-(k <= 5) the chunk bookkeeping costs 5-20% of the time.
+piece; one BLAS thread, 2-core x86_64 host).
 
 Loads have one path, assemble_loads: per chunk the geometry and the
 quadrature points once, then one contraction per profile. Every stage
@@ -64,7 +67,8 @@ import scipy.io
 import scipy.sparse as sp
 
 from .errors import CoefficientError
-from .mesh import diagonal_layout, stencil_offsets
+from .mesh import (LOAD_TERMS, MATRIX_TERMS, grid_side, stencil_mask,
+                   stencil_offsets)
 
 # Triangles assembled at a time, in whole square rows (at least one):
 # each chunk's temporaries stay a few MB, and in cache, whatever the mesh.
@@ -257,38 +261,21 @@ def _chunks(mesh):
         yield first, rows, mesh.triangles[2 * n * first:2 * n * (first + rows)]
 
 
-def _add_in_order(band, index, running, terms):
-    """Add the terms to band in place, at the positions index[running.size:]
-    of band's flattened form, onto its running sums `running` at the
-    positions index[:running.size] (every other entry of band is zero).
-    np.bincount adds its weights one at a time in input order, starting
-    from 0; with the running sums put first, each entry continues its sum
-    term by term, as one bincount over every chunk would. A first chunk
-    has no running sums, and its terms are bincount's whole input."""
-    weights = np.concatenate((running.ravel(), terms.ravel())) if running.size else terms.ravel()
-    band[...] = np.bincount(index, weights, minlength=band.size).reshape(band.shape)
-
-
 def _assemble_matrix(mesh, local_matrices):
     """Sum the (T_c, 3, 3) local matrices local_matrices(triangles) of each
     chunk into a DIA matrix on the mesh's stencil diagonals, each entry's
-    terms added in element order. A chunk of `rows` square rows touches
-    the (7, B) band of the data array over its rows + 1 node rows, laid
-    out by diagonal_layout(n, rows); of these, only the first node row
-    holds sums of earlier chunks."""
+    terms added in element order, from +0.0: per chunk of `rows` square
+    rows, one in-place add of the entries (i, j) of half h of its
+    squares onto diagonal d, shifted by the corner (x, y), for each term
+    of mesh.MATRIX_TERMS in turn."""
     n, N = mesh.n, mesh.num_nodes
-    side = n + 1
     offsets = stencil_offsets(n)
     data = np.zeros((offsets.size, N))
-    index = {}   # band height -> bincount positions of the running sums and the slots
+    grid = data.reshape(offsets.size, n + 1, n + 1)
     for start, rows, triangles in _chunks(mesh):
-        band = data[:, start * side:(start + rows + 1) * side]
-        if rows not in index:
-            running = np.arange(offsets.size)[:, None] * band.shape[1] + np.arange(side)
-            index[rows] = np.concatenate((running.ravel(), diagonal_layout(n, rows)[1].ravel()))
-        carried = side if start > 0 else 0
-        _add_in_order(band, index[rows][offsets.size * (side - carried):], band[:, :carried],
-                      local_matrices(triangles))
+        local = local_matrices(triangles).reshape(rows, n, 2, 3, 3)
+        for d, x, y, h, i, j in MATRIX_TERMS:
+            grid[d, start + y:start + y + rows, x:x + n] += local[:, :, h, i, j]
     return sp.dia_matrix((data, offsets), shape=(N, N))
 
 
@@ -344,11 +331,13 @@ def assemble_loads(mesh, profiles):
     profiles(x, y) is called once per chunk, on two C-contiguous (T_c, Q)
     arrays of that chunk's point coordinates, and yields the f_m values
     in turn, as many on every chunk; each is contracted to its (T_c, 3)
-    local loads before the next is asked for. A chunk's loads are added
-    on the band of nodes from its smallest to its largest vertex, which
-    holds for any order of the triangles."""
+    local loads before the next is asked for. A chunk's local loads are
+    added onto the grid of nodes one term of mesh.LOAD_TERMS at a time,
+    which relies on build_mesh's order of the triangles, as the
+    matrices do."""
+    n = mesh.n
     loads = None
-    for start, _, triangles in _chunks(mesh):
+    for start, rows, triangles in _chunks(mesh):
         ex, ey, det = _geometry(mesh, triangles)
         area = 0.5 * det
         xq, yq = _quad_coord(*ex), _quad_coord(*ey)
@@ -357,12 +346,10 @@ def assemble_loads(mesh, profiles):
                  for f_q in profiles(xq, yq)]
         if loads is None:
             loads = np.zeros((len(local), mesh.num_nodes))
-        lo, hi = triangles.min(), triangles.max() + 1
-        index = (triangles - lo).ravel()
-        if start > 0:
-            index = np.concatenate((np.arange(hi - lo), index))
-        for row, terms in zip(loads, local, strict=True):
-            _add_in_order(row[lo:hi], index, row[lo:hi] if start > 0 else row[:0], terms)
+        for grid, terms in zip(loads.reshape(-1, n + 1, n + 1), local, strict=True):
+            terms = terms.reshape(rows, n, 2, 3)
+            for x, y, h, i in LOAD_TERMS:
+                grid[start + y:start + y + rows, x:x + n] += terms[:, :, h, i]
     return loads
 
 
@@ -372,22 +359,20 @@ def assemble_load(mesh, f):
 
 
 def stencil_csr(A):
-    """The CSR form of a grid matrix A (DIA on the stencil diagonals of
-    mesh.diagonal_layout) on the full stencil pattern: every in-grid
-    stencil entry stored, explicit zeros too, columns ascending; the
-    padded slots (row wraps, ends of the outer diagonals) are not. Any
-    other matrix: A.tocsr()."""
-    N = A.shape[0]
-    n = math.isqrt(N) - 1
-    if (A.format != "dia" or A.shape != (N, N) or (n + 1) ** 2 != N
-            or not np.array_equal(A.offsets, stencil_offsets(n))):
+    """The CSR form of a grid matrix A (DIA on the stencil diagonals,
+    mesh.grid_side) on the full stencil pattern: every in-grid stencil
+    entry stored (mesh.stencil_mask), explicit zeros too, columns
+    ascending; the padded slots (row wraps, ends of the outer diagonals)
+    are not. Any other matrix: A.tocsr()."""
+    n = grid_side(A)
+    if n is None:
         return A.tocsr()
-    offsets, slots = diagonal_layout(n)
-    diagonal, cols = np.divmod(np.unique(slots), N)
-    rows = cols - offsets[diagonal]
-    order = np.lexsort((cols, rows))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=N))))
-    return sp.csr_matrix((A.data[diagonal, cols][order], cols[order], indptr), shape=(N, N))
+    N = A.shape[0]
+    # row-major over (row, diagonal): the offsets ascend, so do the columns
+    rows, diagonal = np.nonzero(stencil_mask(n))
+    cols = rows + A.offsets[diagonal]
+    indptr = np.searchsorted(rows, np.arange(N + 1))
+    return sp.csr_matrix((A.data[diagonal, cols], cols, indptr), shape=(N, N))
 
 
 def write_matrix_market(matrix, path):

@@ -2,6 +2,7 @@
 of their P1 matrices on the 7-point stencil, and nested hierarchies for
 multigrid. The prolongations between levels are CSR."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class TriMesh:
     n squares per side, each split by its lower-left -> upper-right
     diagonal; nodes ordered row-major by y then x, and triangles two per
     square (lower, then upper), squares row-major by y then x. Assembly
-    relies on that layout, through diagonal_layout(n), and only the nodes
-    may be moved (the jittered meshes of the assembly tests).
+    relies on that layout, through MATRIX_TERMS and LOAD_TERMS, and only
+    the nodes may be moved (the jittered meshes of the assembly tests).
     """
 
     n: int
@@ -74,7 +75,7 @@ def _build_mesh_n(n):
     X, Y = np.meshgrid(xs, xs)
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    ll = _square_corners(n, n)
+    ll = _square_corners(n)
     triangles = np.empty((n * n, 2, 3), dtype=np.int64)
     for half, corners in enumerate(_SQUARE_HALVES):
         for i, (dx, dy) in enumerate(corners):
@@ -90,10 +91,10 @@ def _build_mesh_n(n):
                    boundary_nodes=boundary)
 
 
-def _square_corners(n, rows):
-    """Lower-left node of each square of the first `rows` of the n rows
-    of squares, rows by y then x, as the triangles are ordered."""
-    return (np.arange(rows)[:, None] * (n + 1) + np.arange(n)).ravel()
+def _square_corners(n):
+    """Lower-left node of each square, rows by y then x, as the triangles
+    are ordered."""
+    return (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
 
 
 def stencil_offsets(n):
@@ -102,35 +103,52 @@ def stencil_offsets(n):
     return np.array([dx + (n + 1) * dy for dx, dy in _STENCIL])
 
 
-def diagonal_layout(n, rows=None):
-    """Diagonal (DIA) storage of the P1 matrices on the (n+1)^2 grid, and
-    where each element entry of a band of square rows goes in it.
+def stencil_mask(n):
+    """(N, 7) bools, N = (n+1)^2: [p, d] is True when node p shifted by
+    _STENCIL[d] stays on the grid, so that the P1 pattern holds entry
+    (p, p + offsets[d]); in DIA storage that entry sits in data[d, p +
+    offsets[d]]. The slots of the other (p, d) (row wraps, ends of the
+    outer diagonals) hold explicit zeros."""
+    y, x = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    return np.column_stack([(x + dx >= 0) & (x + dx <= n) & (y + dy >= 0) & (y + dy <= n)
+                            for dx, dy in _STENCIL])
 
-    Returns (offsets, slots): offsets is stencil_offsets(n), and slots
-    covers the triangles of `rows` consecutive square rows (all n by
-    default), in build_mesh's order, and the rows + 1 node rows they
-    touch, a band of B = (rows + 1)(n + 1) nodes counted from its first
-    node. slots[t, 3 i + j] = d B + q places the entry (p, q) of the
-    band's t-th triangle, p its vertex i and q its vertex j, in row d of
-    the band's (7, B) data array, column q, where q - p = offsets[d]
-    (scipy's dia_matrix keeps entry (q - offsets[d], q) in data[d, q]).
-    The slots of a row's stencil entries are then in ascending column
-    order, as in CSR. Every band of the same height has the same slots;
-    with rows = n the band is the whole grid (B = N). Computed from n
-    and rows by index arithmetic alone, so nothing needs caching between
-    calls.
-    """
-    rows = n if rows is None else rows
-    side = n + 1
-    band = (rows + 1) * side
-    column = {d: o for o, d in enumerate(_STENCIL)}
-    # slots[square, half, i, j] = B d + corner_j, one gather at corner_j =
-    # square's node + a constant
-    lookup = np.array([[[band * column[xj - xi, yj - yi] + xj + side * yj
-                         for xj, yj in corners] for xi, yi in corners]
-                       for corners in _SQUARE_HALVES])
-    slots = _square_corners(n, rows)[:, None, None, None] + lookup
-    return stencil_offsets(n), slots.reshape(2 * rows * n, 9)
+
+def grid_side(A):
+    """n when A is an N x N DIA matrix, N = (n+1)^2, stored on exactly the
+    7 stencil diagonals of the (n+1)^2 grid (an assembled grid matrix or
+    a block M + c F of two); else None."""
+    n = math.isqrt(A.shape[0]) - 1
+    on_stencil = (A.format == "dia" and A.shape == ((n + 1) ** 2,) * 2
+                  and np.array_equal(A.offsets, stencil_offsets(n)))
+    return n if on_stencil else None
+
+
+# Where each element entry goes, in element order. Entry (i, j) of half h
+# of the square with lower-left node (sx, sy) couples its vertices
+# (sx, sy) + corners[i] and (sx, sy) + corners[j], corners =
+# _SQUARE_HALVES[h]; it lies on the stencil diagonal d of their offset
+# and, in DIA storage, in the column of vertex j. Over all squares, then,
+# the term (d, x, y, h, i, j) adds the squares' entries (i, j) of half h
+# onto the data of diagonal d, viewed as the (n+1)^2 grid, shifted by
+# the corner (x, y) = corners[j]. The entry at node q receives it from
+# the square q - (x, y); sorting by (-y, -x, h) puts the terms of every
+# entry in the order of their triangles in build_mesh (square row, then
+# square, then the lower half before the upper).
+MATRIX_TERMS = tuple(sorted(
+    ((_STENCIL.index((xj - xi, yj - yi)), xj, yj, h, i, j)
+     for h, corners in enumerate(_SQUARE_HALVES)
+     for i, (xi, yi) in enumerate(corners)
+     for j, (xj, yj) in enumerate(corners)),
+    key=lambda term: (-term[2], -term[1], term[3])))
+
+# The same for the loads: the term (x, y, h, i) adds the squares' local
+# loads i of half h onto the grid of nodes shifted by the corner
+# (x, y) = _SQUARE_HALVES[h][i], in element order.
+LOAD_TERMS = tuple(sorted(
+    ((x, y, h, i) for h, corners in enumerate(_SQUARE_HALVES)
+     for i, (x, y) in enumerate(corners)),
+    key=lambda term: (-term[1], -term[0], term[2])))
 
 
 def nested_dissection(n):

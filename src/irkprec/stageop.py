@@ -11,7 +11,7 @@ copies and transposes nothing. apply() returns a fresh array on each call.
 
 M and F are kept in the storage they come in when it is diagonal (DIA):
 the assembled grid matrices, a scipy dia_matrix on the 7 stencil
-diagonals, ascending (mesh.diagonal_layout). Their products need no index
+diagonals, ascending (mesh.stencil_offsets). Their products need no index
 arrays (0.64-0.68x the time of the CSR product at k = 4 and 6, 0.85x at
 k = 7; one BLAS thread, 2-core x86_64 host) and they take 56 bytes a node
 against 88 in CSR. Any other matrix is stored once as CSR. Each block
@@ -60,8 +60,6 @@ ordering is chosen from the block:
   ordering of the pattern of S^T + S.
 """
 
-import math
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import schur
@@ -71,7 +69,7 @@ from scipy.sparse.linalg import splu
 from .assembly import Forcing, assemble_loads, assemble_stiffness
 from .butcher import ButcherTableau
 from .errors import FactorizationError, ResourceLimitError
-from .mesh import nested_dissection, stencil_offsets
+from .mesh import grid_side, nested_dissection
 
 # max s*N for materialize(), so for every dense route. The dense kappa
 # route (analysis.condition_number: P_h^-1 A_h, then its Gram matrix)
@@ -124,22 +122,12 @@ def spmv(A, x, out):
 def factor(S):
     """Sparse LU of a block M + c F (a BlockLU): in nested-dissection
     order when S is a block of a mesh of at least ND_MIN_NODES nodes in
-    diagonal storage, else in minimum-degree order; see the module
-    docstring."""
-    n = _grid_side(S)
+    diagonal storage on exactly its stencil diagonals (mesh.grid_side;
+    a nonzero on those diagonals that joins no stencil neighbours, a row
+    wrap, would only cost fill), else in minimum-degree order; see the
+    module docstring."""
+    n = grid_side(S) if S.shape[0] >= ND_MIN_NODES else None
     return BlockLU(S, None if n is None else nested_dissection(n))
-
-
-def _grid_side(S):
-    """n when S is an N x N DIA matrix, N = (n+1)^2 >= ND_MIN_NODES, stored
-    on exactly the 7 stencil diagonals of the (n+1)^2 grid; else None.
-    A nonzero on those diagonals that joins no stencil neighbours (a row
-    wrap) would only cost fill."""
-    N = S.shape[0]
-    if S.format != "dia" or N < ND_MIN_NODES:
-        return None
-    n = math.isqrt(N) - 1
-    return n if (n + 1) ** 2 == N and np.array_equal(S.offsets, stencil_offsets(n)) else None
 
 
 class BlockLU:

@@ -15,7 +15,8 @@ from irkprec.assembly import (PRESETS, QUAD_PHI, QUAD_POINTS, QUAD_WEIGHTS,
                               write_matrix_market)
 from irkprec.driver import PROBLEM_NAMES, forcing_loads, mms_problem
 from irkprec.errors import CoefficientError
-from irkprec.mesh import build_mesh, diagonal_layout, stencil_offsets
+from irkprec.mesh import (LOAD_TERMS, MATRIX_TERMS, build_mesh, stencil_mask,
+                          stencil_offsets)
 
 
 @pytest.fixture(scope="module")
@@ -507,51 +508,62 @@ class TestChunks:
 
 
 class TestStencilLayout:
-    """mesh.diagonal_layout: where the stencil's entries sit in diagonal
-    storage."""
+    """mesh.MATRIX_TERMS, mesh.LOAD_TERMS and mesh.stencil_mask: where the
+    element entries and the stencil's entries sit in diagonal storage."""
+
+    @staticmethod
+    def shifted(mesh, x, y, h):
+        """Triangle index and vertices of half h of the square whose
+        corner (x, y) is each node of the grid, -1 where there is none."""
+        n = mesh.n
+        t = np.full((n + 1, n + 1), -1)
+        t[y:y + n, x:x + n] = 2 * np.arange(n * n).reshape(n, n) + h
+        return t, np.where(t[..., None] >= 0, mesh.triangles[t], -1)
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_every_slot_lands_on_its_entry(self, k):
+        # each term's entries (p, q) of its triangles land on data[d, q]
+        # with q - p = offsets[d], every element entry once, and an
+        # entry's terms come in the order of their triangles
         mesh = build_mesh(k)
-        offsets, slots = diagonal_layout(mesh.n)
-        N = mesh.num_nodes
-        assert np.array_equal(offsets, stencil_offsets(mesh.n))
+        n, N = mesh.n, mesh.num_nodes
+        offsets = stencil_offsets(n)
         assert np.all(np.diff(offsets) > 0)
-        assert slots.shape == (mesh.num_triangles, 9)
-        diagonal, cols = np.divmod(slots.ravel(), N)
-        rows, expected_cols = element_entries(mesh)
-        assert np.array_equal(cols, expected_cols)
-        assert np.array_equal(cols - offsets[diagonal], rows)
-
-    @pytest.mark.parametrize("k", range(1, 5))
-    def test_bands_are_the_whole_grids_shifted(self, k):
-        # the triangles of square rows first .. first + rows - 1 land on
-        # the whole grid's slots, moved to the band's first node and to
-        # its B = (rows + 1)(n + 1) columns a diagonal
-        n = build_mesh(k).n
-        N = (n + 1) ** 2
-        _, whole = diagonal_layout(n)
-        for rows in range(1, n + 1):
-            _, slots = diagonal_layout(n, rows)
-            B = (rows + 1) * (n + 1)
-            assert slots.shape == (2 * n * rows, 9)
-            for first in range(n - rows + 1):
-                diagonal, cols = np.divmod(whole[2 * n * first:2 * n * (first + rows)], N)
-                assert np.array_equal(slots, diagonal * B + cols - first * (n + 1))
+        assert sorted(term[3:] for term in MATRIX_TERMS) == [
+            (h, i, j) for h in range(2) for i in range(3) for j in range(3)]
+        last = np.full((offsets.size, N), -1)
+        for d, x, y, h, i, j in MATRIX_TERMS:
+            t, vertices = self.shifted(mesh, x, y, h)
+            t, p, q = t.ravel(), vertices[..., i].ravel(), vertices[..., j].ravel()
+            on = t >= 0
+            assert np.array_equal(q[on], np.arange(N)[on])
+            assert np.all(q[on] - p[on] == offsets[d])
+            assert np.all(t[on] > last[d, on])
+            last[d, on] = t[on]
+        last = np.full(N, -1)
+        for x, y, h, i in LOAD_TERMS:
+            t, vertices = self.shifted(mesh, x, y, h)
+            t = t.ravel()
+            on = t >= 0
+            assert np.array_equal(vertices[..., i].ravel()[on], np.arange(N)[on])
+            assert np.all(t[on] > last[on])
+            last[on] = t[on]
+        assert sorted(term[2:] for term in LOAD_TERMS) == [
+            (h, i) for h in range(2) for i in range(3)]
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_pattern_is_that_of_coo_to_csr(self, k):
-        # the distinct slots are the stored entries of scipy's pattern, so
-        # every other slot of the (7, N) data (the row wraps and the ends
-        # of the outer diagonals) stays an explicit zero
+        # the in-grid slots, row by row, are the stored entries of scipy's
+        # pattern in its order, so every other slot of the (7, N) data
+        # (the row wraps and the ends of the outer diagonals) stays an
+        # explicit zero
         mesh = build_mesh(k)
-        offsets, slots = diagonal_layout(mesh.n)
         N = mesh.num_nodes
-        diagonal, cols = np.divmod(np.unique(slots), N)
+        rows, diagonal = np.nonzero(stencil_mask(mesh.n))
+        cols = rows + stencil_offsets(mesh.n)[diagonal]
         A = coo_scatter(mesh, np.ones((mesh.num_triangles, 3, 3)))
-        rows = np.repeat(np.arange(N), np.diff(A.indptr))
-        assert np.array_equal(np.sort((cols - offsets[diagonal]) * N + cols),
-                              rows * N + A.indices)
+        assert np.array_equal(rows * N + cols,
+                              np.repeat(np.arange(N), np.diff(A.indptr)) * N + A.indices)
 
 
 class TestMatrixMarket:

@@ -11,7 +11,7 @@ from irkprec.butcher import (butcher_preconditioner_matrix, gauss_legendre,
                              nystrom_from, radau_iia)
 from irkprec.driver import method_tableau, mms_problem, timestep_rule
 from irkprec.errors import FactorizationError, ResourceLimitError
-from irkprec.mesh import build_hierarchy, build_mesh, diagonal_layout
+from irkprec.mesh import build_hierarchy, build_mesh, stencil_mask, stencil_offsets
 from irkprec.precond import build_preconditioner
 from irkprec.stageop import StageOperator, build_stage_rhs
 
@@ -175,8 +175,9 @@ class TestDiagonalStorage:
         # x has +0 and -0 entries too, so that products of zeros are signed
         n = 2 ** (k + 1)
         N = (n + 1) ** 2
-        offsets, slots = diagonal_layout(n)
-        stored = np.unique(slots)
+        offsets = stencil_offsets(n)
+        rows, diagonal = np.nonzero(stencil_mask(n))
+        stored = np.sort(diagonal * N + rows + offsets[diagonal])
         rng = np.random.default_rng(seed)
 
         def draw(shape, is_complex, zero_share):
