@@ -67,7 +67,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .errors import CoefficientError
-from .mesh import (LOAD_TERMS, MATRIX_TERMS, grid_side, stencil_mask,
+from .mesh import (LOAD_TERMS, MATRIX_TERMS, grid_side, padding_views, stencil_mask,
                    stencil_offsets)
 
 # Triangles assembled at a time, in whole square rows (at least one):
@@ -385,17 +385,26 @@ def write_matrix_market(matrix, path):
 def on_stencil(X):
     """The N x N matrix X as a DIA matrix on the 7 stencil diagonals of
     the (n+1)^2 grid, N = (n+1)^2 (mesh.stencil_offsets), explicit zeros
-    where X stores no entry; X as CSR if it is of no grid's shape or has
-    an entry off them. The Galerkin product of P1 matrices with the P1
-    prolongation keeps to the coarse stencil."""
-    X = X.tocoo()
+    where X stores no entry and duplicate entries summed; X itself if it
+    is one already, with one data column per node and zeros in the slots
+    that hold no entry (mesh.padding_views); X as CSR if it is of no
+    grid's shape or has an entry off its grid's stencil
+    (mesh.stencil_mask). The V-cycle's galerkin_levels puts M and F onto
+    the stencil through it, and refuses what stays CSR: it forms the
+    coarse levels on the stencil diagonals."""
+    n = grid_side(X)
+    if n is not None and X.data.shape[1] == X.shape[1]:
+        if not any(np.any(slots) for slots in padding_views(X.data.reshape(-1, n + 1, n + 1))):
+            return X
+    X = X.tocoo(copy=True)
+    X.sum_duplicates()
     n = math.isqrt(X.shape[0]) - 1
     if X.shape != ((n + 1) ** 2,) * 2:
         return X.tocsr()
     offsets = stencil_offsets(n)
     offset = X.col - X.row
     diagonal = np.searchsorted(offsets, offset).clip(max=offsets.size - 1)
-    if np.any(offsets[diagonal] != offset):
+    if np.any(offsets[diagonal] != offset) or not np.all(stencil_mask(n)[X.row, diagonal]):
         return X.tocsr()
     data = np.zeros((offsets.size, X.shape[1]), X.dtype)
     data[diagonal, X.col] = X.data

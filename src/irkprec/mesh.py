@@ -1,6 +1,8 @@
 """Uniform triangulations of [-1,1]^2, the diagonal (DIA) storage layout
 of their P1 matrices on the 7-point stencil, and nested hierarchies for
-multigrid. The prolongations between levels are CSR."""
+multigrid. The prolongations between levels are CSR; the Galerkin
+coarsening of a grid matrix runs on its diagonals (GALERKIN_LEFT_TERMS
+and GALERKIN_RIGHT_TERMS)."""
 
 import math
 from dataclasses import dataclass
@@ -114,6 +116,21 @@ def stencil_mask(n):
                             for dx, dy in _STENCIL])
 
 
+def padding_views(grid):
+    """Views of the slots of DIA data on the stencil diagonals, viewed as
+    the (7, n+1, n+1) grid of their columns, that hold no entry of the
+    grid: diagonal d, (dx, dy) = _STENCIL[d], keeps entry (q - offsets[d],
+    q) at column node q, whose row node q - (dx, dy) is off the grid in
+    the column x = 0 (dx = 1) or x = n (dx = -1) and in the row y = 0
+    (dy = 1) or y = n (dy = -1): the complement of stencil_mask, by
+    columns."""
+    for d, (dx, dy) in enumerate(_STENCIL):
+        if dx:
+            yield grid[d, :, 0 if dx > 0 else -1]
+        if dy:
+            yield grid[d, 0 if dy > 0 else -1]
+
+
 def grid_side(A):
     """n when A is an N x N DIA matrix, N = (n+1)^2, stored on exactly the
     7 stencil diagonals of the (n+1)^2 grid (an assembled grid matrix or
@@ -149,6 +166,34 @@ LOAD_TERMS = tuple(sorted(
     ((x, y, h, i) for h, corners in enumerate(_SQUARE_HALVES)
      for i, (x, y) in enumerate(corners)),
     key=lambda term: (-term[1], -term[0], term[2])))
+
+# The Galerkin coarsening R^T X R of a matrix X on the stencil, R the P1
+# prolongation of build_hierarchy, in the order in which scipy's CSR
+# products sum it. The children of coarse node I are the fine nodes
+# 2I + a, a in _STENCIL, ascending, each with its weight R[2I + a, I]: 1
+# at a = (0, 0), else 1/2. Row I of T = R^T X holds entries at the fine
+# nodes 2I + e, e in GALERKIN_OFFSETS (the 19 sums a + s, ascending), and
+# T_e(I) is the sum over the children a, ascending, of w_a X[2I + a,
+# 2I + e], which DIA storage keeps in the column 2I + e of diagonal
+# s = e - a. So the term (e, x, y, d, w) of GALERKIN_LEFT_TERMS adds w
+# times diagonal d's data, viewed as the fine grid, on the stride-2 grid
+# shifted by (x, y) = e onto T_e (49 terms). Entry (I, I + D) of T R is
+# the sum over the children b of I + D, ascending, of w_b T_{2D+b}(I):
+# the term (d, x, y, e, w) of GALERKIN_RIGHT_TERMS adds w times T_e,
+# shifted by (x, y) = D = _STENCIL[d], onto the coarse data of diagonal
+# d (31 terms). No other D has a term: the coarse level keeps to the
+# stencil.
+GALERKIN_OFFSETS = tuple(sorted({(ax + sx, ay + sy) for ax, ay in _STENCIL
+                                 for sx, sy in _STENCIL}, key=lambda e: (e[1], e[0])))
+_CHILD_WEIGHT = {a: 1.0 if a == (0, 0) else 0.5 for a in _STENCIL}
+GALERKIN_LEFT_TERMS = tuple(
+    (e, ex, ey, _STENCIL.index((ex - ax, ey - ay)), _CHILD_WEIGHT[ax, ay])
+    for e, (ex, ey) in enumerate(GALERKIN_OFFSETS)
+    for ax, ay in _STENCIL if (ex - ax, ey - ay) in _STENCIL)
+GALERKIN_RIGHT_TERMS = tuple(
+    (d, dx, dy, GALERKIN_OFFSETS.index((2 * dx + bx, 2 * dy + by)), _CHILD_WEIGHT[bx, by])
+    for d, (dx, dy) in enumerate(_STENCIL)
+    for bx, by in _STENCIL if (2 * dx + bx, 2 * dy + by) in GALERKIN_OFFSETS)
 
 
 def nested_dissection(n):
@@ -197,52 +242,27 @@ def build_hierarchy(k_fine):
 
 
 def _p1_prolongation(nc):
-    """Interpolation matrix from the nc-grid to the 2*nc-grid.
+    """Interpolation matrix from the nc-grid to the 2*nc-grid, as CSR.
 
     Coincident nodes inject; edge midpoints average their two endpoints.
     The square-center fine nodes sit on the split diagonal, so they
-    average the lower-left and upper-right coarse corners.
+    average the lower-left and upper-right coarse corners. So fine row
+    (x, y) holds the coarse node (x // 2, y // 2) with weight 1 when x
+    and y are even, and else that node and the one (x % 2, y % 2) from
+    it, columns ascending, with weight 1/2 each: built by index
+    arithmetic.
     """
     nf = 2 * nc
-    Nc = (nc + 1) ** 2
-    Nf = (nf + 1) ** 2
-    rows, cols, vals = [], [], []
-
-    fidx = np.arange(Nf)
-    fx = fidx % (nf + 1)
-    fy = fidx // (nf + 1)
-
-    def coarse(cx, cy):
-        return cy * (nc + 1) + cx
-
-    even = (fx % 2 == 0) & (fy % 2 == 0)
-    rows.append(fidx[even])
-    cols.append(coarse(fx[even] // 2, fy[even] // 2))
-    vals.append(np.ones(even.sum()))
-
-    hor = (fx % 2 == 1) & (fy % 2 == 0)  # horizontal edge midpoints
-    for shift in (0, 1):
-        rows.append(fidx[hor])
-        cols.append(coarse((fx[hor] - 1) // 2 + shift, fy[hor] // 2))
-        vals.append(np.full(hor.sum(), 0.5))
-
-    ver = (fx % 2 == 0) & (fy % 2 == 1)  # vertical edge midpoints
-    for shift in (0, 1):
-        rows.append(fidx[ver])
-        cols.append(coarse(fx[ver] // 2, (fy[ver] - 1) // 2 + shift))
-        vals.append(np.full(ver.sum(), 0.5))
-
-    ctr = (fx % 2 == 1) & (fy % 2 == 1)  # on the ll->ur diagonal
-    for shift in (0, 1):
-        rows.append(fidx[ctr])
-        cols.append(coarse((fx[ctr] - 1) // 2 + shift, (fy[ctr] - 1) // 2 + shift))
-        vals.append(np.full(ctr.sum(), 0.5))
-
-    P = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(Nf, Nc),
-    )
-    return P.tocsr()
+    fy, fx = np.divmod(np.arange((nf + 1) ** 2), nf + 1)
+    odd_x, odd_y = fx % 2, fy % 2
+    lower = (fy // 2) * (nc + 1) + fx // 2
+    pair = (odd_x | odd_y).astype(bool)
+    cols = np.column_stack([lower, lower + odd_x + (nc + 1) * odd_y])
+    vals = np.where(pair, 0.5, 1.0)
+    stored = np.column_stack([np.ones_like(pair), pair])
+    indptr = np.concatenate([[0], np.cumsum(1 + pair)])
+    return sp.csr_matrix((np.column_stack([vals, vals])[stored], cols[stored], indptr),
+                         shape=((nf + 1) ** 2, (nc + 1) ** 2))
 
 
 def write_mesh_text(mesh, path):

@@ -3,13 +3,17 @@ stage operator of P (StageOperator), whose solve substitutes forward or
 backward over the stages. StageOperator decides how each distinct diagonal
 block M + h_t^mu p_ii F is solved, by its block solver: the exact LU by
 default, or one V-cycle on the Galerkin coarsenings R^T X R of M and F,
-which need only M, F and the prolongations R of a mesh hierarchy.
+R the P1 prolongations of a mesh hierarchy.
 
-Each coarse level is put onto its grid's 7 stencil diagonals once per
-build (DIA storage, as the assembled M and F), so every level's M_l + c
-F_l is the sum of two data arrays on shared offsets (scipy's DIA sum)
-and its sweeps and residuals are DIA products; the prolongations and
-their stored transposes stay CSR.
+Every level is stored on its grid's 7 stencil diagonals (DIA storage,
+as the assembled M and F): M and F go onto them once (on_stencil), and
+each coarse level is formed from the next finer one's diagonal data by
+strided in-place adds on grid views, in the order in which scipy's CSR
+products R.T @ X @ R sum (mesh.GALERKIN_LEFT_TERMS and
+GALERKIN_RIGHT_TERMS), so it is bit for bit that product. Every level's
+M_l + c F_l is then the sum of two data arrays on shared offsets
+(scipy's DIA sum), and its sweeps and residuals are DIA products; the
+prolongations and their stored transposes stay CSR, for the transfers.
 
 Stage vectors are stage-major, as in stageop: the preconditioner's
 apply_inverse takes and returns x[i*N:(i+1)*N] as the i-th stage block,
@@ -28,10 +32,13 @@ not be called re-entrantly, nor from two threads at once.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import on_stencil
 from .butcher import PreconditionerKind, butcher_preconditioner_matrix
 from .errors import SubsolveError
+from .mesh import (GALERKIN_LEFT_TERMS, GALERKIN_OFFSETS, GALERKIN_RIGHT_TERMS, grid_side,
+                   stencil_offsets)
 from .stageop import StageOperator, factor, spmv
 
 SMOOTHER_DAMPING = 2.0 / 3.0
@@ -39,15 +46,67 @@ PRE_SWEEPS = 2
 POST_SWEEPS = 2
 
 
-def galerkin_levels(M, F, prolongations):
-    """[(M_l, F_l)] from coarsest to finest: M, F on the finest level (as
-    StageOperator keeps them: DIA as it is, any other format as CSR) and
-    R^T X R of the next finer level below it, R = prolongations[l], each
-    coarse level put once onto its grid's stencil diagonals (on_stencil)."""
-    levels = [tuple(X if X.format == "dia" else X.tocsr() for X in (M, F))]
-    for R in reversed(prolongations):
-        levels.append(tuple(on_stencil(R.T @ X @ R) for X in levels[-1]))
-    return levels[::-1]
+def galerkin_levels(M, F, levels):
+    """[(M_l, F_l)], `levels` pairs from coarsest to finest: M and F on
+    the finest level, put onto their grid's stencil diagonals
+    (on_stencil), and below each level its Galerkin coarsening R^T X R, R
+    the P1 prolongation of mesh.build_hierarchy, formed from that level's
+    DIA data (_coarsen). Raises ValueError when M or F is no matrix of
+    one (n+1)^2 grid's stencil or n is not divisible by 2^(levels-1)."""
+    M, F = (on_stencil(X) for X in (M, F))
+    n = grid_side(M)
+    if n is None or grid_side(F) != n:
+        raise ValueError("M and F must be matrices of one grid with no entry off its stencil")
+    if levels < 1 or n % 2 ** (levels - 1):
+        raise ValueError(f"a grid of side {n} has no {levels} nested levels")
+    pairs = [(M, F)]
+    fine = [X.data.reshape(1, -1, n + 1, n + 1) for X in (M, F)]
+    for _ in range(levels - 1):
+        data = _coarsen(fine, n)
+        n //= 2
+        offsets = stencil_offsets(n)
+        pairs.append(tuple(sp.dia_matrix((X, offsets), shape=(X.shape[1],) * 2) for X in data))
+        fine = [data.reshape(2, -1, n + 1, n + 1)]
+    return pairs[::-1]
+
+
+def _coarsen(fine, n):
+    """The (2, 7, (n/2+1)^2) DIA data of R^T M R and R^T F R from the data
+    of M and F on the (n+1)^2 grid, `fine` one (m, 7, n+1, n+1) view of
+    the m = 2 stacked or two of m = 1 each (the finest level, which is
+    not copied to stack it). Each sum runs in scipy's order for the CSR
+    product (mesh.GALERKIN_LEFT_TERMS and GALERKIN_RIGHT_TERMS), from
+    +0.0, over the terms that reach the grid: a missing term is an
+    explicit zero of scipy's, whose add leaves any sum's bits as they
+    are. So every coarse entry is bit for bit R.T @ X @ R."""
+    nc, dtype = n // 2, np.result_type(*fine, np.float64)  # R's dtype
+    T = np.zeros((2, len(GALERKIN_OFFSETS), nc + 1, nc + 1), dtype)
+    coarse = np.zeros((2, 7, nc + 1, nc + 1), dtype)
+    scaled = np.empty((2, nc + 1, nc + 1), dtype)
+    # along one axis, the coarse indices i with 2i + v on the fine grid,
+    # and those fine indices; the coarse j with j - v on the coarse grid,
+    # and those j - v
+    stride2 = {v: (slice(int(v < 0), nc + 1 - int(v > 0)),
+                   slice(2 * int(v < 0) + v, 2 * (nc - int(v > 0)) + 1 + v, 2))
+               for v in range(-2, 3)}
+    shift = {v: (slice(max(v, 0), nc + 1 + min(v, 0)), slice(max(-v, 0), nc + 1 + min(-v, 0)))
+             for v in range(-1, 2)}
+    for X, part in zip(fine, (T[:1], T[1:]) if len(fine) == 2 else (T,), strict=True):
+        for e, ex, ey, d, w in GALERKIN_LEFT_TERMS:
+            (cy, fy), (cx, fx) = stride2[ey], stride2[ex]
+            _add_scaled(part[:, e, cy, cx], w, X[:, d, fy, fx], scaled)
+    for d, dx, dy, e, w in GALERKIN_RIGHT_TERMS:
+        (cy, ty), (cx, tx) = shift[dy], shift[dx]
+        _add_scaled(coarse[:, d, cy, cx], w, T[:, e, ty, tx], scaled)
+    return coarse.reshape(2, 7, -1)
+
+
+def _add_scaled(out, w, x, scratch):
+    """out += w x in place, as scipy's product adds the term w x (x
+    itself for w = 1); w x is formed in the head of scratch."""
+    if w != 1.0:
+        x = np.multiply(w, x, out=scratch[:x.shape[0], :x.shape[1], :x.shape[2]])
+    out += x
 
 
 def restrictions(prolongations):
@@ -147,10 +206,13 @@ def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
 
     subsolve="exact" factorizes each distinct diagonal block
     M + h_t^mu p_ii F; subsolve="vcycle" gives each one a V-cycle
-    subsolver on the Galerkin levels of M and F and the restrictions,
-    computed once per call from the prolongations of `hierarchy`
-    (required in that mode) and shared by the subsolvers. `coeff`
-    is unused; it is accepted so that callers passing it keep working.
+    subsolver on the Galerkin levels of M and F (galerkin_levels, one
+    per mesh of `hierarchy`, which that mode requires) and on the
+    restrictions, both computed once per call, the restrictions from the
+    hierarchy's prolongations, and shared by the subsolvers. M and F
+    must be matrices of the hierarchy's finest grid with no entry off its
+    stencil (ValueError). `coeff` is unused; it is accepted so that
+    callers passing it keep working.
     """
     kind = PreconditionerKind(kind)
     P = butcher_preconditioner_matrix(tableau, kind)
@@ -164,7 +226,7 @@ def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
         raise ValueError("vcycle subsolves need a hierarchy")
     if hierarchy.num_nodes != M.shape[0]:
         raise ValueError("hierarchy finest mesh does not match M")
-    levels = galerkin_levels(M, F, hierarchy.prolongations)
+    levels = galerkin_levels(M, F, len(hierarchy.prolongations) + 1)
     restrict = restrictions(hierarchy.prolongations)
 
     def vcycle(M, F, c):

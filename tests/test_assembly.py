@@ -15,7 +15,7 @@ from irkprec.assembly import (PRESETS, QUAD_PHI, QUAD_POINTS, QUAD_WEIGHTS,
                               write_matrix_market)
 from irkprec.driver import PROBLEM_NAMES, forcing_loads, mms_problem
 from irkprec.errors import CoefficientError
-from irkprec.mesh import (LOAD_TERMS, MATRIX_TERMS, build_mesh, stencil_mask,
+from irkprec.mesh import (LOAD_TERMS, MATRIX_TERMS, build_mesh, padding_views, stencil_mask,
                           stencil_offsets)
 
 
@@ -564,6 +564,23 @@ class TestStencilLayout:
         A = coo_scatter(mesh, np.ones((mesh.num_triangles, 3, 3)))
         assert np.array_equal(rows * N + cols,
                               np.repeat(np.arange(N), np.diff(A.indptr)) * N + A.indices)
+
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_padding_views_are_the_slots_off_the_mask(self, k):
+        # data[d, q] holds entry (q - offsets[d], q): the padding views
+        # cover exactly the slots of the (7, N) data that stencil_mask
+        # leaves out, by columns
+        n = build_mesh(k).n
+        N = (n + 1) ** 2
+        offsets = stencil_offsets(n)
+        rows, diagonal = np.nonzero(stencil_mask(n))
+        entry = np.zeros((offsets.size, N), bool)
+        entry[diagonal, rows + offsets[diagonal]] = True
+        marks = np.zeros((offsets.size, N))
+        for view in padding_views(marks.reshape(-1, n + 1, n + 1)):
+            view[...] = 1.0
+        assert np.array_equal(marks == 1.0, ~entry)
 
 
 class TestMatrixMarket:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from irkprec.errors import ResourceLimitError
-from irkprec.mesh import (MAX_LEVEL, build_hierarchy, build_mesh, nested_dissection,
-                          nodes_at_level, read_mesh_text, write_mesh_text)
+from irkprec.mesh import (MAX_LEVEL, _p1_prolongation, build_hierarchy, build_mesh,
+                          nested_dissection, nodes_at_level, read_mesh_text, write_mesh_text)
 
 
 def signed_areas(mesh):
@@ -84,6 +85,36 @@ class TestHierarchy:
             coarse_set = {tuple(p) for p in np.round(coarse.nodes, 12)}
             fine_set = {tuple(p) for p in np.round(fine.nodes, 12)}
             assert coarse_set <= fine_set
+
+    @staticmethod
+    def coo_prolongation(nc):
+        """The interpolation matrix from COO triplets of each kind of fine
+        node, converted to CSR by scipy: the reference."""
+        nf = 2 * nc
+        fidx = np.arange((nf + 1) ** 2)
+        fy, fx = np.divmod(fidx, nf + 1)
+        rows, cols, vals = [], [], []
+
+        def add(on, cx, cy, weight):
+            rows.append(fidx[on])
+            cols.append(cy[on] * (nc + 1) + cx[on])
+            vals.append(np.full(on.sum(), weight))
+
+        add((fx % 2 == 0) & (fy % 2 == 0), fx // 2, fy // 2, 1.0)
+        for shift in (0, 1):
+            add((fx % 2 == 1) & (fy % 2 == 0), (fx - 1) // 2 + shift, fy // 2, 0.5)
+            add((fx % 2 == 0) & (fy % 2 == 1), fx // 2, (fy - 1) // 2 + shift, 0.5)
+            add((fx % 2 == 1) & (fy % 2 == 1), (fx - 1) // 2 + shift, (fy - 1) // 2 + shift, 0.5)
+        return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=((nf + 1) ** 2, (nc + 1) ** 2)).tocsr()
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_prolongation_bytes_match_coo_route(self, k):
+        P, Q = _p1_prolongation(2 ** (k + 1)), self.coo_prolongation(2 ** (k + 1))
+        assert P.has_canonical_format
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(P, name), getattr(Q, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_prolongation_preserves_constants(self):
         hi = build_hierarchy(3)

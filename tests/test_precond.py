@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from irkprec.assembly import (assemble_mass, assemble_stiffness, coefficient_preset,
-                              on_stencil, read_matrix_market, write_matrix_market)
+from irkprec.assembly import (PRESETS, assemble_mass, assemble_stiffness,
+                              coefficient_preset, on_stencil, read_matrix_market,
+                              write_matrix_market)
 from irkprec.butcher import gauss_legendre, nystrom_from, radau_iia
 from irkprec.errors import SubsolveError
 from irkprec.krylov import gmres
@@ -112,7 +115,7 @@ class TestVCycle:
         mesh = build_mesh(k_fine)
         coeff = coefficient_preset(preset)
         levels = galerkin_levels(assemble_mass(mesh), assemble_stiffness(mesh, coeff),
-                                 hierarchy.prolongations)
+                                 k_fine)
         return VCycleSubsolver(levels, hierarchy.prolongations,
                                restrictions(hierarchy.prolongations), tau)
 
@@ -161,24 +164,45 @@ class TestVCycle:
             ref = assemble_mass(mesh) + tau * assemble_stiffness(mesh, coeff)
             assert spla.norm(S - ref) <= 1e-13 * spla.norm(ref)
 
-    @pytest.mark.parametrize("preset", ["variable", "constant-diffusion"])
+    @pytest.mark.parametrize("preset", PRESETS)
     def test_levels_on_the_stencil_hold_the_csr_products(self, preset):
-        # every coarse level is stored on its grid's 7 diagonals, once, and
-        # holds the bits of the CSR Galerkin product R^T X R
-        k = 4
-        mesh, hierarchy = build_mesh(k), build_hierarchy(k)
-        M, F = assemble_mass(mesh), assemble_stiffness(mesh, coefficient_preset(preset))
-        levels = galerkin_levels(M, F, hierarchy.prolongations)
-        assert levels[-1][0] is M and levels[-1][1] is F
-        csr = [(M.tocsr(), F.tocsr())]
-        for R in reversed(hierarchy.prolongations):
-            csr.append(tuple((R.T @ X @ R).tocsr() for X in csr[-1]))
-        for level, (pair, ref) in enumerate(zip(levels, csr[::-1])):
-            for X, Y in zip(pair, ref):
-                assert X.format == "dia"
-                assert np.array_equal(X.offsets, stencil_offsets(2 ** (level + 2)))
-                for name in ("data", "indices", "indptr"):
-                    assert getattr(X.tocsr(), name).tobytes() == getattr(Y, name).tobytes()
+        # every coarse level is formed on its grid's 7 diagonals and holds
+        # the bits of the CSR Galerkin product R^T X R, the reference, on
+        # the uniform meshes and on jittered ones
+        for k, jitter in ((k, jitter) for k in range(1, 7) for jitter in (False, True)):
+            mesh = build_mesh(k)
+            if jitter:
+                rng = np.random.default_rng(k)
+                mesh = replace(mesh, nodes=mesh.nodes + rng.uniform(
+                    -0.2 * mesh.h, 0.2 * mesh.h, mesh.nodes.shape))
+            M, F = assemble_mass(mesh), assemble_stiffness(mesh, coefficient_preset(preset))
+            levels = galerkin_levels(M, F, k)
+            assert len(levels) == k
+            assert levels[-1][0] is M and levels[-1][1] is F
+            csr = [(M.tocsr(), F.tocsr())]
+            for R in reversed(build_hierarchy(k).prolongations):
+                csr.append(tuple((R.T @ X @ R).tocsr() for X in csr[-1]))
+            for level, (pair, ref) in enumerate(zip(levels, csr[::-1])):
+                offsets = stencil_offsets(2 ** (level + 2))
+                for X, Y in zip(pair, ref):
+                    assert X.format == "dia" and np.array_equal(X.offsets, offsets)
+                    for name in ("data", "indices", "indptr"):
+                        assert getattr(X.tocsr(), name).tobytes() == getattr(Y, name).tobytes()
+                    # the slots the product leaves empty, padding too, hold +0.0
+                    Y = Y.tocoo()
+                    data = np.zeros_like(X.data)
+                    data[np.searchsorted(offsets, Y.col - Y.row), Y.col] = Y.data
+                    assert X.data.tobytes() == data.tobytes()
+
+    def test_galerkin_levels_refuse_what_they_cannot_coarsen(self):
+        mesh = build_mesh(2)
+        M, F = assemble_mass(mesh), assemble_stiffness(mesh, coefficient_preset("variable"))
+        assert len(galerkin_levels(M, F, 2)) == 2
+        wide = M.tocsr() + sp.csr_matrix(([1.0], ([0], [2])), shape=M.shape)
+        coarse = assemble_mass(build_mesh(1))
+        for args in ((M, F, 5), (M, F, 0), (wide, F, 2), (M, coarse, 2)):
+            with pytest.raises(ValueError):
+                galerkin_levels(*args)
 
     def test_on_stencil_keeps_other_matrices_csr(self):
         grid = sp.identity(25, format="csr")
@@ -187,6 +211,34 @@ class TestVCycle:
         wide = grid + sp.csr_matrix(([1.0], ([0], [2])), shape=(25, 25))
         Y = on_stencil(wide)
         assert Y.format == "csr" and (Y != wide).nnz == 0
+        # node 4, the end of the first grid row, coupled with node 5, the
+        # start of the next: on diagonal +1, but no stencil edge either
+        wrap = grid + sp.csr_matrix(([1.0], ([4], [5])), shape=(25, 25))
+        Y = on_stencil(wrap)
+        assert Y.format == "csr" and (Y != wrap).nnz == 0
+
+    def test_on_stencil_sums_duplicates(self):
+        X = sp.coo_matrix(([1.0, 2.0, 5.0], ([0, 0, 1], [0, 0, 1])), shape=(9, 9))
+        Y = on_stencil(X)
+        assert Y.format == "dia" and np.array_equal(Y.toarray(), X.toarray())
+        assert Y.toarray()[0, 0] == 3.0
+        assert X.nnz == 3  # the argument is left as it was
+
+    def test_on_stencil_returns_grid_matrices_as_they_are(self):
+        M = assemble_mass(build_mesh(1))
+        assert on_stencil(M) is M
+        # a slot of diagonal +n+2 before its first row holds no entry:
+        # scipy ignores it, and on_stencil builds the matrix afresh
+        junk = sp.dia_matrix((M.data.copy(), M.offsets), shape=M.shape)
+        junk.data[-1, 0] = 7.0
+        Y = on_stencil(junk)
+        assert Y is not junk and Y.data[-1, 0] == 0.0
+        assert np.array_equal(Y.toarray(), M.toarray())
+        assert Y.data.tobytes() == M.data.tobytes()
+        # data wider than the matrix: scipy ignores the columns past N
+        wide = sp.dia_matrix((np.hstack([M.data, M.data + 1.0]), M.offsets), shape=M.shape)
+        Y = on_stencil(wide)
+        assert Y.data.shape == M.data.shape and Y.data.tobytes() == M.data.tobytes()
 
     def test_recursion_bypasses_public_solve(self):
         # one subsolve is one call of solve, however many levels it visits
@@ -361,9 +413,9 @@ class TestVCycleSubsolves:
 
     @pytest.mark.parametrize("fmt", ["csc", "coo"])
     def test_vcycle_takes_any_sparse_format(self, fmt):
-        # build_preconditioner passes M and F straight to the V-cycle; in
-        # another format than DIA they are used as CSR, and the cycle
-        # gives the values of the assembled DIA matrices' cycle
+        # build_preconditioner puts M and F of another format than DIA
+        # onto the stencil diagonals for the V-cycle, every level included,
+        # and the cycle gives the values of the assembled DIA matrices' cycle
         k = 3
         mesh = build_mesh(k)
         M = assemble_mass(mesh)
@@ -373,9 +425,28 @@ class TestVCycleSubsolves:
                                    hierarchy=hierarchy)
         other = build_preconditioner(t, "LD", M.asformat(fmt), F.asformat(fmt), 0.3, 1,
                                      subsolve="vcycle", hierarchy=hierarchy)
-        assert all(S.format == "csr" for sub in other.subsolvers for S in sub.S[-1:])
+        assert all(S.format == "dia" for sub in other.subsolvers for S in sub.S)
         r = np.random.default_rng(11).standard_normal(dia.size)
         assert np.array_equal(other.apply_inverse(r), dia.apply_inverse(r))
+
+    def test_vcycle_refuses_entries_off_the_stencil(self):
+        # the coarse levels are formed on the stencil diagonals, which hold
+        # no entry off the stencil: a matrix with one, in any format, is
+        # refused
+        k = 2
+        mesh = build_mesh(k)
+        M = assemble_mass(mesh)
+        F = assemble_stiffness(mesh, coefficient_preset("variable"))
+        n = mesh.n
+        wide = M.tocsr() + sp.csr_matrix(([1.0], ([0], [2])), shape=M.shape)
+        # diagonal +1 at node (0, 1) keeps entry (n, n + 1), which couples
+        # the ends of two grid rows
+        wrap = sp.dia_matrix((M.data.copy(), M.offsets), shape=M.shape)
+        wrap.data[4, n + 1] = 1.0
+        for bad in (wide, wrap):
+            with pytest.raises(ValueError):
+                build_preconditioner(radau_iia(2), "LD", bad, F, 0.5, 1, subsolve="vcycle",
+                                     hierarchy=build_hierarchy(k))
 
     def test_needs_only_matrices_and_hierarchy(self, tmp_path):
         # M and F read back from Matrix Market files carry no mesh or
