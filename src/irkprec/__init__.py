@@ -21,7 +21,7 @@ from .errors import (CoefficientError, ConfigError, FactorizationError,
 from .krylov import SolveReport, gmres, reference_solve
 from .mesh import (MeshHierarchy, TriMesh, build_hierarchy, build_mesh,
                    read_mesh_text, write_mesh_text)
-from .precond import BlockPreconditioner, VCycleSubsolver, build_preconditioner
+from .precond import VCycleSubsolver, build_preconditioner
 from .stageop import StageOperator, build_stage_rhs
 
 __version__ = "0.1.0"

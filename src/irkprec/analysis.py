@@ -1,9 +1,13 @@
 """Spectral diagnostics of (preconditioned) stage operators: 2-norm
 condition numbers, eigenvalue spectra, and field-of-values boundaries.
 
+Each route applies the P_h it is given, a StageOperator (as
+precond.build_preconditioner returns, factored once for every call) or
+None for none; it builds no P_h of its own.
+
 The dense route forms A_h by StageOperator.materialize and B = P_h^-1 A_h
-by P_h's exact Kronecker solve (StageOperator.solve) on column blocks of
-A_h, each written back over A_h; P_h itself is never materialized.
+by P_h's solve on column blocks of A_h, each written back over A_h; P_h
+itself is never materialized.
 condition_number then overwrites B with the Gram matrix G = B B^T, one
 block of rows at a time, and takes kappa = sqrt(lambda_max / lambda_min)
 from LAPACK's symmetric eigensolver, in place on the same buffer: one
@@ -27,7 +31,7 @@ above the 36.2 MiB buffer at s N = 2178 (tracemalloc), 10.6 MiB with
 
 The iterative route (condition_number_iterative) takes sigma_max of
 X = P_h^-1 A_h and of X^-1 = A_h^-1 P_h by Lanczos on the Gram operator
-X^T X, applied with StageOperator.apply/solve and their transposes. The
+X^T X, applied with A_h's and P_h's apply/solve and their transposes. The
 ARPACK residual test bounds the error of sigma^2 by tol sigma^2, so each
 sigma is accurate to tol/2 and kappa to about tol, relative.
 
@@ -48,8 +52,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .stageop import StageOperator
-
 DENSE_SOLVE_WIDTH = 64  # columns per P_h solve, rows per Gram block; see Memory
 # A Gram kappa above this is recomputed from the singular values: the
 # Gram kappa's error, up to about eps kappa^2 (measured), would pass the
@@ -69,32 +71,22 @@ class FovResult:
     min_distance_to_origin: float
 
 
-def _prec_matrix(prec):
-    """Accept a BlockPreconditioner or a plain s x s matrix."""
-    if prec is None:
-        return None
-    P = getattr(prec, "P", prec)
-    return np.asarray(P, dtype=float)
-
-
 def preconditioned_dense(op, prec):
-    """Dense A_h, or P_h^-1 A_h when prec is given, in A_h's own buffer:
-    P_h's exact Kronecker solve (StageOperator.solve, stage-wise
-    substitution with sparse LUs of the blocks M + h_t^mu p_ii F) runs on
-    DENSE_SOLVE_WIDTH columns of A_h at a time, and each block of
+    """Dense A_h, or P_h^-1 A_h when the StageOperator prec = P_h is
+    given, in A_h's own buffer: P_h's solve (stage-wise substitution with
+    its block solvers, which must take blocks of columns: exact LUs)
+    runs on DENSE_SOLVE_WIDTH columns of A_h at a time, and each block of
     solutions is written back over its columns. P_h is never
     materialized; A_h is, under the dense guard. Memory: one (s N)^2
     float64 buffer plus the solve's O(s N width) temporaries. SuperLU
     solves each column of a block on its own, so the result does not
     depend on the width."""
     A = op.materialize()
-    P = _prec_matrix(prec)
-    if P is None:
+    if prec is None:
         return A
-    Ph = StageOperator(P, op.M, op.F, op.h_t, op.mu)
     width = DENSE_SOLVE_WIDTH
     for lo in range(0, A.shape[1], width):
-        A[:, lo:lo + width] = Ph.solve(A[:, lo:lo + width])
+        A[:, lo:lo + width] = prec.solve(A[:, lo:lo + width])
     return A
 
 
@@ -156,20 +148,18 @@ def _sigma_max(matvec, rmatvec, n, tol, seed):
 def condition_number_iterative(op, prec=None, tol=1e-8, seed=0):
     """kappa_2 of X = P_h^-1 A_h (A_h without prec) as sigma_max(X) times
     sigma_max(X^-1), X^-1 = A_h^-1 P_h, each by Lanczos on its Gram
-    operator (see _sigma_max), applied with StageOperator.apply/solve and
-    their transposes. tol is the relative accuracy of kappa: the Gram
+    operator (see _sigma_max), applied with op's and prec's apply/solve
+    and their transposes. tol is the relative accuracy of kappa: the Gram
     residual tol bounds each sigma's relative error by tol/2, so kappa
     matches the dense route to about tol. `seed` sets the start vector;
     there is no dense-size guard."""
     n = op.size
-    P = _prec_matrix(prec)
-    if P is None:
+    if prec is None:
         ident = lambda x: x
         p_apply = p_apply_t = p_solve = p_solve_t = ident
     else:
-        Ph = StageOperator(P, op.M, op.F, op.h_t, op.mu)
-        p_apply, p_apply_t = Ph.apply, Ph.apply_transpose
-        p_solve, p_solve_t = Ph.solve, Ph.solve_transpose
+        p_apply, p_apply_t = prec.apply, prec.apply_transpose
+        p_solve, p_solve_t = prec.solve, prec.solve_transpose
     smax = _sigma_max(lambda x: p_solve(op.apply(x)),
                       lambda x: op.apply_transpose(p_solve_t(x)), n, tol, seed)
     smin_inv = _sigma_max(lambda x: op.solve(p_apply(x)),

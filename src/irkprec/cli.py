@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from functools import partial
 from typing import get_args, get_origin
 
 import numpy as np
@@ -25,7 +24,6 @@ import numpy as np
 from . import analysis, driver, krylov
 from .assembly import (assemble_mass, assemble_stiffness, coefficient_preset,
                        write_matrix_market, PRESETS)
-from .butcher import butcher_preconditioner_matrix
 from .errors import ConfigError
 from .mesh import (MAX_LEVEL, build_hierarchy, build_mesh, nodes_at_level,
                    write_mesh_text)
@@ -87,10 +85,10 @@ class ExperimentConfig:
 
 
 def validate(config):
-    """Check the configuration up front; returns the list of grid cells
-    above the command's DENSE_LIMIT (skipped with a warning by the
-    point-cloud commands). Refuses a dense kappa cell above that limit
-    and an mms cell above krylov.DIRECT_GUARD."""
+    """Check the configuration up front; raises ConfigError. Refuses a
+    dense kappa cell above DENSE_LIMIT["kappa"], an mms cell above
+    krylov.DIRECT_GUARD and explicit timesteps for mms. The point-cloud
+    commands skip their cells above DENSE_LIMIT themselves (run_cloud)."""
     for f in fields(config):
         choices = f.metadata.get("choices")
         if choices is None:
@@ -118,6 +116,9 @@ def validate(config):
         raise ConfigError("t-end must be positive and finite")
     if not all(0 < h < np.inf for h in config.ht):
         raise ConfigError("explicit timesteps must be positive and finite")
+    if config.command == "mms" and config.ht:
+        raise ConfigError("mms takes no explicit ht: its march steps by the coupled "
+                          "timestep rule (--ht-rule drops a config file's ht)")
     if config.n_angles < 8:
         raise ConfigError("n-angles must be >= 8")
     if config.seed < 0:
@@ -130,8 +131,6 @@ def validate(config):
         if os.path.isdir(config.out):
             raise ConfigError(f"out: {config.out!r} is a directory")
 
-    violations = []
-    limit = DENSE_LIMIT.get(config.command)
     for s in config.stages:
         for k in config.mesh_k:
             n = s * nodes_at_level(k)
@@ -141,19 +140,16 @@ def validate(config):
                 raise ConfigError(
                     f"mms needs a direct solve, but s*N = {n} at (s={s}, k={k}) "
                     f"exceeds the direct-solve guard {krylov.DIRECT_GUARD}")
-            if limit is None or n <= limit:
-                continue
-            if config.command != "kappa":
-                violations.append((s, k))
-            elif config.kappa_method == "dense":
+            if (config.command == "kappa" and config.kappa_method == "dense"
+                    and n > DENSE_LIMIT["kappa"]):
                 raise ConfigError(
                     f"dense kappa requested but s*N = {n} at "
-                    f"(s={s}, k={k}) exceeds the guard {limit}")
-    return violations
+                    f"(s={s}, k={k}) exceeds the guard {DENSE_LIMIT['kappa']}")
 
 
 class _Workspace:
-    """Caches meshes, matrices, tableaus and hierarchies across grid cells."""
+    """Caches meshes, matrices, tableaus and hierarchies across grid cells,
+    and builds each cell's operators (uncached) from them."""
 
     def __init__(self, config):
         self.config = config
@@ -189,20 +185,21 @@ class _Workspace:
         t = self.tableau(s)
         return f"{t.kind.value}-{s}"
 
-    def prec_matrix(self, s, kind):
-        """The s x s preconditioner matrix of `kind`, None for "none": the
-        kappa, spectrum and fov routes build P_h from it and never apply
-        a factored preconditioner."""
+    def preconditioner(self, op, kind):
+        """P_h of `kind` for the system operator `op` with exact
+        subsolves, None for "none": what the kappa, spectrum and fov
+        routes apply, built as gmres builds its preconditioners."""
         if kind == "none":
             return None
-        return butcher_preconditioner_matrix(self.tableau(s), kind)
+        return build_preconditioner(self.tableau(op.s), kind, op.M, op.F, op.h_t,
+                                    op.mu, subsolve="exact")
 
 
 def _kappa_one(ws, op, kind):
     """kappa of `kind` against the cell's system operator `op` (shared by
     the cell's kinds, so the iterative route factors A's blocks once)."""
     config = ws.config
-    prec = ws.prec_matrix(op.s, kind)
+    prec = ws.preconditioner(op, kind)
     method = config.kappa_method
     if method == "auto":
         method = "dense" if op.size <= KAPPA_DENSE_CUTOFF else "iterative"
@@ -300,35 +297,38 @@ def _out_path(config, name):
     return os.path.join(base, name)
 
 
-def run_cloud(config, violations=()):
+def run_cloud(config):
     """Point clouds (Re, Im per row), one file per grid cell and kind,
     plus summary rows: eigenvalues with min |lambda| and kappa for
     `spectrum`, field-of-values boundary points with their distance to
-    the origin for `fov`. Cells in `violations` give a skipped row."""
+    the origin for `fov`. A cell above the command's DENSE_LIMIT gives a
+    skipped row, before any of its matrices is built."""
     ws = _Workspace(config)
     spectrum = config.command == "spectrum"
     stats = ("min_abs_eig", "kappa") if spectrum else ("fov_min_distance",)
+    limit = DENSE_LIMIT[config.command]
     rows = []
     for s, k, h, h_t in _grid(config, ws):
         cell = {"problem": config.problem, "coeff": config.coeff,
                 "method": ws.method_label(s), "s": s, "h": h, "h_t": h_t}
-        if (s, k) in violations:
+        n = s * nodes_at_level(k)
+        if n > limit:
             rows.append({**cell, "precond": "skipped", **dict.fromkeys(stats),
                          "file": "",
-                         "warning": f"s*N = {s * nodes_at_level(k)} exceeds dense "
-                                    f"guard {DENSE_LIMIT[config.command]} of {config.command}"})
+                         "warning": f"s*N = {n} exceeds dense guard {limit} "
+                                    f"of {config.command}"})
             continue
         op = ws.operator(s, k, h_t)
         for kind in ["none"] + list(config.precond):
-            prec = ws.prec_matrix(s, kind)
             label = f"{config.problem}_{ws.method_label(s)}_k{k}_{kind}"
+            # P_h is freed when the call that applies it returns
             if spectrum:
-                result = analysis.spectrum(op, prec)
+                result = analysis.spectrum(op, ws.preconditioner(op, kind))
                 points = result.eigenvalues
                 values = (float(np.abs(points).min()), result.kappa)
             else:
                 result = analysis.field_of_values(
-                    analysis.preconditioned_dense(op, prec),
+                    analysis.preconditioned_dense(op, ws.preconditioner(op, kind)),
                     n_angles=config.n_angles)
                 points = result.boundary_points
                 values = (result.min_distance_to_origin,)
@@ -529,10 +529,9 @@ def config_from_argv(argv):
 
 def run(config):
     """Execute the configured command; returns (rows, exit_code)."""
-    violations = validate(config)
-    cloud = partial(run_cloud, violations=violations)
-    rows = {"kappa": run_kappa, "gmres": run_gmres, "spectrum": cloud, "fov": cloud,
-            "mms": run_mms, "export": run_export}[config.command](config)
+    validate(config)
+    rows = {"kappa": run_kappa, "gmres": run_gmres, "spectrum": run_cloud,
+            "fov": run_cloud, "mms": run_mms, "export": run_export}[config.command](config)
     return rows, (2 if any(not row.get("converged", True) for row in rows) else 0)
 
 

@@ -1,9 +1,10 @@
-"""Block preconditioners I (x) M + h_t^mu P (x) F of a triangular P: the
-stage operator of P (StageOperator), whose solve substitutes forward or
-backward over the stages. StageOperator decides how each distinct diagonal
-block M + h_t^mu p_ii F is solved, by its block solver: the exact LU by
-default, or one V-cycle on the Galerkin coarsenings R^T X R of M and F,
-R the P1 prolongations of a mesh hierarchy.
+"""Block preconditioners I (x) M + h_t^mu P (x) F of a triangular P:
+build_preconditioner returns the stage operator of P (StageOperator),
+factored, whose solve (alias apply_inverse) substitutes forward or
+backward over the stages. Its block solver decides how each distinct
+diagonal block M + h_t^mu p_ii F is solved: the exact LU by default, or
+one V-cycle on the Galerkin coarsenings R^T X R of M and F, R the P1
+prolongations of a mesh hierarchy.
 
 Every level is stored on its grid's 7 stencil diagonals (DIA storage,
 as the assembled M and F): M and F go onto them once (on_stencil), and
@@ -178,31 +179,12 @@ class VCycleSubsolver:
         return x
 
 
-class BlockPreconditioner(StageOperator):
-    """Ready-to-apply block preconditioner: the stage operator of its
-    triangular P, factored on construction (so its build time includes
-    the LUs or V-cycle set-ups). It differs from the system operator only
-    in its block solver, exact LU (the default) or a V-cycle factory.
-    """
-
-    def __init__(self, P, M, F, h_t, mu, block_solver=None):
-        super().__init__(P, M, F, h_t, mu, block_solver)
-        self.P = self.coupling
-        self._factors = self._factor()
-
-    @property
-    def subsolvers(self):
-        """The solver of each stage's diagonal block, one object per
-        distinct diagonal value."""
-        return [solver for *_, solver in self._factors[3]]
-
-    apply_inverse = StageOperator.solve
-    apply_inverse_transpose = StageOperator.solve_transpose  # substitution with P^T
-
-
 def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
                          hierarchy=None, coeff=None):
-    """Build one of the five block preconditioners for the stage system.
+    """One of the five block preconditioners P_h = I (x) M + h_t^mu P (x) F
+    of the stage system: the StageOperator of P, factored on construction
+    (so its build time includes the LUs or V-cycle set-ups), which differs
+    from the system operator only in its coupling and block solver.
 
     subsolve="exact" factorizes each distinct diagonal block
     M + h_t^mu p_ii F; subsolve="vcycle" gives each one a V-cycle
@@ -219,7 +201,7 @@ def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
     if np.any(np.diag(P) == 0.0):
         raise SubsolveError(f"preconditioner {kind.value} has a zero diagonal entry")
     if subsolve == "exact":
-        return BlockPreconditioner(P, M, F, h_t, mu)
+        return StageOperator(P, M, F, h_t, mu).factorize()
     if subsolve != "vcycle":
         raise ValueError(f"unknown subsolve mode {subsolve!r}")
     if hierarchy is None:
@@ -232,4 +214,4 @@ def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
     def vcycle(M, F, c):
         return VCycleSubsolver(levels, hierarchy.prolongations, restrict, c)
 
-    return BlockPreconditioner(P, M, F, h_t, mu, vcycle)
+    return StageOperator(P, M, F, h_t, mu, vcycle).factorize()

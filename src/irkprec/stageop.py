@@ -2,12 +2,14 @@
 and its stage-wise solve.
 
 The coupling matrix C is the Butcher matrix A of the timestepper for
-the system operator, or a triangular preconditioner matrix P for the
-corresponding block preconditioner. Stage vectors are stored stage-major:
-x[i*N:(i+1)*N] is the i-th stage block, and apply() works on that layout
-as it is, the C-ordered s x N view of x with one row per stage: it forms
-F x_i and M x_i row by row with spmv() and adds h_t^mu C (F X), so it
-copies and transposes nothing. apply() returns a fresh array on each call.
+the system operator, or a triangular preconditioner matrix P: a block
+preconditioner is the StageOperator of its P (from
+precond.build_preconditioner), applied by solve, alias apply_inverse.
+Stage vectors are stored stage-major: x[i*N:(i+1)*N] is the i-th stage
+block, and apply() works on that layout as it is, the C-ordered s x N
+view of x with one row per stage: it forms F x_i and M x_i row by row
+with spmv() and adds h_t^mu C (F X), so it copies and transposes
+nothing. apply() returns a fresh array on each call.
 
 M and F are kept in the storage they come in when it is diagonal (DIA):
 the assembled grid matrices, a scipy dia_matrix on the 7 stencil
@@ -30,8 +32,9 @@ The solve substitutes over stages: forward for a lower triangular C,
 backward for an upper one, else in the real Schur basis of C. Each
 diagonal block M + c F of the substitution, c = h_t^mu a for a diagonal
 value a (complex for a 2 x 2 Schur block), is solved by
-block_solver(M, F, c), called once per distinct a. The default block
-solver, lu_block, is its exact LU; a block preconditioner may pass an
+block_solver(M, F, c), called once per distinct a by factorize() (or
+the first solve); subsolvers lists them. The default block solver,
+lu_block, is its exact LU; a block preconditioner may pass an
 approximate one (precond's V-cycle).
 
 Every LU of a block M + c F (c real or complex) is a BlockLU made by
@@ -193,21 +196,32 @@ class StageOperator:
         # module-level default: a closure over self would keep the LUs
         # alive in a reference cycle until the cyclic GC runs
         self.block_solver = lu_block if block_solver is None else block_solver
-        self._factors = None  # built by the first solve
+        self._factors = None  # built by factorize() or the first solve
 
     @property
     def size(self):
         return self.s * self.N
 
     @property
+    def subsolvers(self):
+        """The solver of each diagonal block of the substitution (one per
+        stage for a triangular coupling), one object per distinct
+        diagonal value; empty before the operator is factored."""
+        return [] if self._factors is None else [solver for *_, solver in self._factors[3]]
+
+    @property
     def factor_nnz(self):
         """Stored L + U nonzeros of the distinct block solvers behind
         solve() (SuperLU's count, no copy of the factors); 0 before the
-        operator is factored, by its first solve."""
+        operator is factored."""
+        return sum(solver.nnz for solver in {id(s): s for s in self.subsolvers}.values())
+
+    def factorize(self):
+        """Build the block solvers now, as the first solve does otherwise;
+        returns the operator."""
         if self._factors is None:
-            return 0
-        solvers = {id(solver): solver for *_, solver in self._factors[3]}
-        return sum(solver.nnz for solver in solvers.values())
+            self._factors = self._factor()
+        return self
 
     def reset_counters(self):
         self.n_mass_matvecs = 0
@@ -245,6 +259,10 @@ class StageOperator:
         columns of an (s N, m) block; factors on the first call."""
         return self._solve(r, transpose=False)
 
+    # the name krylov.gmres applies a preconditioner by; an instance may
+    # rebind it (to trace the applies) without touching solve
+    apply_inverse = solve
+
     def solve_transpose(self, r):
         """Exact solve with the transposed operator, on the same factors."""
         return self._solve(r, transpose=True)
@@ -254,9 +272,7 @@ class StageOperator:
         quasi-triangular T, one solver per diagonal block of T, in the
         basis Q; each F z_j is formed at most once. r is a stage vector
         of length s N or an (s N, m) block of them, solved column-wise."""
-        if self._factors is None:
-            self._factors = self._factor()
-        Q, T, lower, blocks = self._factors
+        Q, T, lower, blocks = self.factorize()._factors
         if transpose:
             T, lower = T.T, not lower
         r = np.asarray(r, dtype=float)

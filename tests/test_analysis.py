@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
-from irkprec import analysis
+from irkprec import analysis, stageop
 from irkprec.analysis import (GRAM_KAPPA_MAX, _svdvals, butcher_kappa,
                               condition_number, condition_number_iterative,
                               field_of_values, preconditioned_dense, spectrum)
@@ -45,6 +45,12 @@ def wave_system():
     return mesh, M, F
 
 
+def stage_prec(op, P):
+    """P_h = I (x) M + h_t^mu P (x) F on op's M, F, h_t and mu, unfactored;
+    None for P None."""
+    return None if P is None else StageOperator(P, op.M, op.F, op.h_t, op.mu)
+
+
 def identity_operator(n):
     I = sp.identity(n, format="csr")
     Z = sp.csr_matrix((n, n))
@@ -59,7 +65,7 @@ class TestConditionNumber:
         _, M, F = wave_system
         t = nystrom_from(gauss_legendre(2))
         op = StageOperator(t, M, F, 0.4, 2)
-        assert abs(condition_number(op, t.A) - 1.0) <= 1e-10
+        assert abs(condition_number(op, stage_prec(op, t.A)) - 1.0) <= 1e-10
 
     def test_unitary_similarity_invariance(self):
         rng = np.random.default_rng(3)
@@ -78,7 +84,7 @@ class TestConditionNumber:
     @pytest.mark.parametrize("kind", ["J", "GSL", "TRIU", "LD", "DU"])
     def test_iterative_matches_dense(self, kappa_systems, kind):
         for name, op, t in kappa_systems:
-            P = butcher_preconditioner_matrix(t, kind)
+            P = stage_prec(op, butcher_preconditioner_matrix(t, kind))
             dense = condition_number(op, P)
             iterative = condition_number_iterative(op, P, seed=1)
             assert abs(iterative - dense) <= 1e-8 * dense, name
@@ -92,9 +98,28 @@ class TestConditionNumber:
     @pytest.mark.parametrize("kind", ["none", "J", "LD"])
     def test_iterative_independent_of_seed(self, kappa_systems, kind):
         for name, op, t in kappa_systems:
-            P = None if kind == "none" else butcher_preconditioner_matrix(t, kind)
+            P = stage_prec(op, None if kind == "none" else butcher_preconditioner_matrix(t, kind))
             kappas = [condition_number_iterative(op, P, seed=seed) for seed in (0, 1, 2)]
             assert max(kappas) - min(kappas) <= 1e-8 * min(kappas), name
+
+    @pytest.mark.parametrize("route", [condition_number, condition_number_iterative, spectrum])
+    @pytest.mark.parametrize("kind", ["J", "LD", "DU"])
+    def test_given_factors_are_the_ones_applied(self, monkeypatch, wave_system, route, kind):
+        # build_preconditioner factors each distinct block of P once; the
+        # route applies those factors and factors no block of P again.
+        # Radau IIA s=2 has one complex Schur block, so A_h's
+        # factorization (the iterative route's) has a complex shift only
+        _, M, F = wave_system
+        t, h_t = radau_iia(2), 0.3
+        shifts = []
+        lu_block = stageop.lu_block
+        monkeypatch.setattr(stageop, "lu_block",
+                            lambda M, F, c: shifts.append(c) or lu_block(M, F, c))
+        prec = build_preconditioner(t, kind, M, F, h_t, 1, subsolve="exact")
+        expected = sorted(h_t * p for p in set(np.diag(prec.coupling)))
+        assert sorted(shifts) == expected
+        route(StageOperator(t, M, F, h_t, 1), prec)
+        assert sorted(c for c in shifts if not isinstance(c, complex)) == expected
 
     def test_unconverged_k1_lanczos_has_no_eigenvalue(self):
         # what _sigma_max's eigsh call raises when it runs out of steps
@@ -127,11 +152,12 @@ class TestConditionNumber:
         P = butcher_preconditioner_matrix(t, kind)
         A = op.materialize()
         Ph = StageOperator(P, M, F, 0.3, 1).materialize()
+        prec = stage_prec(op, P)
         calls = []
         materialize = StageOperator.materialize
         monkeypatch.setattr(StageOperator, "materialize",
                             lambda self: calls.append(self) or materialize(self))
-        B = preconditioned_dense(op, P)
+        B = preconditioned_dense(op, prec)
         assert calls == [op]
         expected = np.linalg.solve(Ph, A)
         assert np.linalg.norm(B - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -149,9 +175,9 @@ def peak_in_buffers(op, fn):
     return peak / (8 * op.size ** 2)
 
 
-def svd_kappa(op, P):
+def svd_kappa(op, prec):
     """kappa_2 from the singular values of P_h^-1 A_h."""
-    sv = _svdvals(preconditioned_dense(op, P))
+    sv = _svdvals(preconditioned_dense(op, prec))
     return sv[0] / sv[-1]
 
 
@@ -178,7 +204,7 @@ class TestGramRoute:
         # is smaller (kappa < 210, as on every preconditioned row here)
         t = method_tableau(problem, s)
         op = StageOperator(t, *matrices[k], h_t, mms_problem(problem, "constant-diffusion").mu)
-        P = None if kind == "none" else butcher_preconditioner_matrix(t, kind)
+        P = stage_prec(op, None if kind == "none" else butcher_preconditioner_matrix(t, kind))
         expected = svd_kappa(op, P)
         tol = max(1e-11, np.finfo(float).eps * expected ** 2)
         assert abs(condition_number(op, P) - expected) <= tol * expected
@@ -194,7 +220,7 @@ class TestGramRoute:
         t = method_tableau("wave", 3)
         op = StageOperator(t, *matrices[2], 0.5, 2)
         calls = self.count_svd_calls(monkeypatch)
-        assert condition_number(op, butcher_preconditioner_matrix(t, "LD")) < 10
+        assert condition_number(op, stage_prec(op, butcher_preconditioner_matrix(t, "LD"))) < 10
         assert calls == []
 
     def test_above_threshold_falls_back_to_svd(self, monkeypatch):
@@ -245,7 +271,7 @@ class TestDenseRouteInPlace:
         expected = StageOperator(P, M, F, 0.4, mu).solve(op.materialize())
         for width in (1, 100, op.size, 1000):    # 100 does not divide 243
             monkeypatch.setattr(analysis, "DENSE_SOLVE_WIDTH", width)
-            assert np.array_equal(preconditioned_dense(op, P), expected)
+            assert np.array_equal(preconditioned_dense(op, stage_prec(op, P)), expected)
 
     @pytest.fixture(scope="class")
     def radau_k3(self):
@@ -270,7 +296,7 @@ class TestDenseRouteInPlace:
         # 1.49 and 1.69, and solving all columns at once into a new array
         # 3.0-3.35. Bound: the largest measured + 20%.
         op, t = radau_k3
-        P = None if kind == "none" else butcher_preconditioner_matrix(t, kind)
+        P = stage_prec(op, None if kind == "none" else butcher_preconditioner_matrix(t, kind))
         assert peak_in_buffers(op, lambda: condition_number(op, P)) <= 1.41
 
 
@@ -393,7 +419,7 @@ class TestFieldOfValues:
         t = method_tableau("diffusion", 2)
         op = StageOperator(t, assemble_mass(mesh), assemble_stiffness(mesh, problem.coeff),
                            timestep_rule(mesh.h, 2, t.kind), problem.mu)
-        B = preconditioned_dense(op, butcher_preconditioner_matrix(t, kind))
+        B = preconditioned_dense(op, stage_prec(op, butcher_preconditioner_matrix(t, kind)))
         fov = field_of_values(B, n_angles=64)
         nearest = np.abs(fov.boundary_points).min()
         assert nearest > 0.3
@@ -437,7 +463,7 @@ class TestFieldOfValues:
         t = method_tableau("wave", 3)
         op = StageOperator(t, assemble_mass(mesh), assemble_stiffness(mesh, problem.coeff),
                            timestep_rule(mesh.h, 3, t.kind), problem.mu)
-        B = preconditioned_dense(op, butcher_preconditioner_matrix(t, "LD"))
+        B = preconditioned_dense(op, stage_prec(op, butcher_preconditioner_matrix(t, "LD")))
         assert B.shape == (867, 867)
         fov = field_of_values(B, n_angles=8)
         self._assert_support_is_top_eigenvalue(B, fov, 8, 1e-10)

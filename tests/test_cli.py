@@ -10,6 +10,7 @@ import pytest
 
 from irkprec import analysis, cli, driver, stageop
 from irkprec.assembly import assemble_mass, assemble_stiffness
+from irkprec.butcher import butcher_preconditioner_matrix
 from irkprec.cli import (ExperimentConfig, build_config, config_from_argv,
                          emit, emit_csv, main, make_parser, parse_config_file,
                          run, run_cloud, run_export, run_gmres, run_kappa,
@@ -124,9 +125,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             validate(tiny_config(stages=(5,), mesh_k=(7,), kappa_method="dense"))
 
-    def test_validate_reports_cloud_violations(self):
-        config = tiny_config(command="spectrum", stages=(5,), mesh_k=(7,))
-        assert validate(config) == [(5, 7)]
+    @pytest.mark.parametrize("command", ["spectrum", "fov"])
+    def test_validate_leaves_cloud_cells_to_run_cloud(self, tmp_path, command):
+        # a cell above the command's limit is no configuration error: the
+        # point-cloud run skips it itself, also when called directly
+        config = tiny_config(command=command, stages=(5,), mesh_k=(7,), out=str(tmp_path))
+        assert validate(config) is None
+        assert [r["precond"] for r in run_cloud(config)] == ["skipped"]
 
 
 class TestKappaCommand:
@@ -176,16 +181,20 @@ class TestKappaCommand:
         ws = cli._Workspace(config)
         for row in rows:
             op = ws.operator(2, 1, row["h_t"])
-            P = ws.prec_matrix(2, row["precond"])
+            prec = ws.preconditioner(op, row["precond"])
             assert row["kappa"] == analysis.condition_number_iterative(
-                op, P, seed=config.seed)
+                op, prec, seed=config.seed)
 
     @pytest.mark.parametrize("command,route", [
         ("kappa", "dense"), ("kappa", "iterative"), ("spectrum", "dense"),
         ("fov", "dense")])
-    def test_rows_need_no_factored_preconditioner(self, tmp_path, monkeypatch,
-                                                  command, route):
-        # these routes use only the s x s matrix P: no subsolver LU is built
+    def test_rows_factor_each_block_of_p_once(self, tmp_path, monkeypatch,
+                                              command, route):
+        # each kind's P_h is built by build_preconditioner with exact
+        # subsolves, which factors each of its distinct blocks once, and
+        # the route applies those factors: no block of P is factored
+        # again. Wave, Gauss-Legendre Nystrom s=2: A_h's blocks (the
+        # iterative route's) have complex shifts, P_h's real ones.
         # kappa writes a table file, spectrum and fov a directory of artifacts
         out = tmp_path / "kappa.csv" if command == "kappa" else tmp_path
         config = tiny_config(command=command, stages=(2,), precond=("J", "LD"),
@@ -196,13 +205,30 @@ class TestKappaCommand:
         expected = analysis.condition_number(
             op, build_preconditioner(ws.tableau(2), "LD", M, F, op.h_t, ws.mu))
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("build_preconditioner called")
+        factored, building = [], []
+        lu_block, build = stageop.lu_block, cli.build_preconditioner
+        monkeypatch.setattr(stageop, "lu_block", lambda M, F, c: factored.append(
+            (building[-1] if building else None, c)) or lu_block(M, F, c))
 
-        monkeypatch.setattr(cli, "build_preconditioner", refuse)
+        def tracked_build(tableau, kind, *args, **kwargs):
+            building.append(kind)
+            try:
+                return build(tableau, kind, *args, **kwargs)
+            finally:
+                building.pop()
+
+        monkeypatch.setattr(cli, "build_preconditioner", tracked_build)
         rows, code = run(replace(config, ht=(op.h_t,)))
         assert code == 0
         assert [r["precond"] for r in rows] == ["none", "J", "LD"]
+        scale = op.h_t ** op.mu
+        for kind in ("J", "LD"):
+            P = butcher_preconditioner_matrix(ws.tableau(2), kind)
+            assert (sorted(c for k, c in factored if k == kind)
+                    == sorted(scale * p for p in set(np.diag(P)))), kind
+        # outside the builds only A_h's one complex block, on the iterative route
+        assert [isinstance(c, complex) for k, c in factored if k is None] == (
+            [True] if route == "iterative" else [])
         if command != "fov":
             assert rows[2]["kappa"] == pytest.approx(expected, rel=1e-6)
 
@@ -303,7 +329,7 @@ class TestCloudCommands:
     def test_spectrum_files_and_summary(self, tmp_path, command):
         config = tiny_config(command=command, stages=(2,), mesh_k=(1,),
                              precond=("LD",), out=str(tmp_path), n_angles=16)
-        rows = run_cloud(config, validate(config))
+        rows = run_cloud(config)
         assert len(rows) == 2  # none + LD
         # s * N eigenvalues, or one boundary point per angle
         n_points = 2 * 25 if command == "spectrum" else 16
@@ -319,7 +345,7 @@ class TestCloudCommands:
     def test_guard_violation_produces_warning_row(self, tmp_path, command):
         config = tiny_config(command=command, stages=(5,), mesh_k=(1, 7),
                              precond=("LD",), out=str(tmp_path), n_angles=16)
-        rows = run_cloud(config, validate(config))
+        rows = run_cloud(config)
         assert len(rows) == 3  # none + LD at k=1, one skipped row at k=7
         assert rows[2]["precond"] == "skipped"
         assert "exceeds dense guard" in rows[2]["warning"]
@@ -339,7 +365,7 @@ class TestCloudCommands:
                              precond=("LD",), out=str(tmp_path))
         tracemalloc.start()
         try:
-            rows = run_cloud(config, validate(config))
+            rows = run_cloud(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -485,10 +511,26 @@ class TestMain:
         assert "config error: mms needs a direct solve" in err
         assert "(s=3, k=8)" in err
 
+    def test_mms_refuses_explicit_ht(self, tmp_path, capsys):
+        # the march steps by the coupled rule: an explicit ht would be
+        # ignored, so it is refused; --ht-rule drops a config file's ht
+        argv = ["mms", "--problem", "diffusion", "--stages", "1", "--mesh-k", "1,2"]
+        assert main(argv + ["--ht", "0.3"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: mms takes no explicit ht" in err
+        assert "--ht-rule" in err
+        path = tmp_path / "exp.cfg"
+        path.write_text("ht = 0.3\n")
+        assert main(argv + ["--config", str(path)]) == 1
+        assert "config error: mms takes no explicit ht" in capsys.readouterr().err
+        assert main(argv + ["--config", str(path), "--ht-rule"]) == 0
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("\n") == 2 * 3  # header and two rows, twice
+
     def test_mms_under_the_direct_guard_passes_validate(self):
         # s=2 at k=8 (526338) lies under the guard
         assert 2 * nodes_at_level(8) <= cli.krylov.DIRECT_GUARD
-        assert validate(tiny_config(command="mms", stages=(2,), mesh_k=(8,))) == []
+        assert validate(tiny_config(command="mms", stages=(2,), mesh_k=(8,))) is None
 
     @pytest.mark.parametrize("command", ["kappa", "gmres", "mms"])
     def test_out_checked_before_rows(self, tmp_path, capsys, monkeypatch, command):

@@ -388,10 +388,10 @@ class TestSolve:
         M, F = variable_system
         t, kind, _, h_t, mu, rng = case
         prec = build_preconditioner(t, kind, M, F, h_t, mu, subsolve="exact")
-        op = StageOperator(prec.P, M, F, h_t, mu)
+        op = StageOperator(prec.coupling, M, F, h_t, mu)
         r = rng.standard_normal(op.size)
         assert np.array_equal(prec.apply_inverse(r), op.solve(r))
-        assert np.array_equal(prec.apply_inverse_transpose(r), op.solve_transpose(r))
+        assert np.array_equal(prec.solve_transpose(r), op.solve_transpose(r))
 
     @PROPERTY
     @given(case=stage_cases(), m=st.integers(1, 4))
@@ -425,6 +425,38 @@ class TestSolve:
         r = np.ones(op.size)
         assert np.array_equal(op.solve(r), op.solve(r))
         assert len(calls) == 2  # one real eigenvalue, one conjugate pair
+
+    def test_factorize_builds_the_solvers_once(self, small_system):
+        _, M, F = small_system
+        shifts = []
+
+        def counting_block(M, F, c):
+            shifts.append(c)
+            return stageop.lu_block(M, F, c)
+
+        op = StageOperator(radau_iia(3), M, F, 0.4, 1, block_solver=counting_block)
+        assert op.subsolvers == [] and op.factor_nnz == 0
+        r = np.ones(op.size)
+        lazy = StageOperator(radau_iia(3), M, F, 0.4, 1).solve(r)
+        assert op.factorize() is op
+        assert len(shifts) == 2 and len(op.subsolvers) == 2  # a real block, a Schur pair
+        assert op.factor_nnz == sum(sub.nnz for sub in op.subsolvers) > 0
+        assert op.factorize() is op and np.array_equal(op.solve(r), lazy)
+        assert len(shifts) == 2
+
+    def test_apply_inverse_is_the_solve_and_rebinds_alone(self, small_system):
+        # krylov.gmres applies a preconditioner by apply_inverse; an
+        # instance may wrap it without changing solve
+        _, M, F = small_system
+        op = StageOperator(radau_iia(2), M, F, 0.5, 1)
+        r = np.ones(op.size)
+        assert np.array_equal(op.apply_inverse(r), op.solve(r))
+        calls = []
+        op.apply_inverse = lambda v: calls.append(v) or StageOperator.solve(op, v)
+        op.solve(r)
+        assert calls == []
+        op.apply_inverse(r)
+        assert len(calls) == 1
 
     def test_unstandardized_schur_block_rejected(self, small_system, monkeypatch):
         _, M, F = small_system
