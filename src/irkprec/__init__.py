@@ -19,8 +19,7 @@ from .driver import (ProblemSpec, StepperState, advance, convergence_study,
 from .errors import (CoefficientError, ConfigError, FactorizationError,
                      ResourceLimitError, SubsolveError)
 from .krylov import SolveReport, gmres, reference_solve
-from .mesh import (MeshHierarchy, TriMesh, build_hierarchy, build_mesh,
-                   read_mesh_text, write_mesh_text)
+from .mesh import TriMesh, build_mesh, read_mesh_text, write_mesh_text
 from .precond import VCycleSubsolver, build_preconditioner
 from .stageop import StageOperator, build_stage_rhs
 

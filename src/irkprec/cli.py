@@ -25,8 +25,7 @@ from . import analysis, driver, krylov
 from .assembly import (assemble_mass, assemble_stiffness, coefficient_preset,
                        write_matrix_market, PRESETS)
 from .errors import ConfigError
-from .mesh import (MAX_LEVEL, build_hierarchy, build_mesh, nodes_at_level,
-                   write_mesh_text)
+from .mesh import MAX_LEVEL, build_mesh, nodes_at_level, write_mesh_text
 from .precond import build_preconditioner
 from .stageop import DENSE_GUARD, StageOperator, build_stage_rhs
 
@@ -148,8 +147,9 @@ def validate(config):
 
 
 class _Workspace:
-    """Caches meshes, matrices, tableaus and hierarchies across grid cells,
-    and builds each cell's operators (uncached) from them."""
+    """Caches meshes, matrices and tableaus across grid cells, and builds
+    each cell's operators (uncached) from them; a V-cycle preconditioner
+    needs only the cell's M and F, from which it builds its levels."""
 
     def __init__(self, config):
         self.config = config
@@ -173,9 +173,6 @@ class _Workspace:
 
     def tableau(self, s):
         return self._get(("tableau", s), driver.method_tableau, self.config.problem, s)
-
-    def hierarchy(self, k):
-        return self._get(("hierarchy", k), build_hierarchy, k)
 
     def operator(self, s, k, h_t):
         M, F = self.matrices(k)
@@ -264,9 +261,8 @@ def run_gmres(config):
         if op.size <= krylov.DIRECT_GUARD:
             x_ref = krylov.reference_solve(op, rhs)
         for kind in config.precond:
-            prec = build_preconditioner(
-                tableau, kind, M, F, h_t, ws.mu, subsolve=config.subsolve,
-                hierarchy=ws.hierarchy(k) if config.subsolve == "vcycle" else None)
+            prec = build_preconditioner(tableau, kind, M, F, h_t, ws.mu,
+                                        subsolve=config.subsolve)
             xk, report = krylov.gmres(op, prec, rhs, tol=config.tol,
                                       max_iter=config.max_iter)
             del prec  # its LUs are freed before the next kind's are built

@@ -1,8 +1,11 @@
 """Uniform triangulations of [-1,1]^2, the diagonal (DIA) storage layout
-of their P1 matrices on the 7-point stencil, and nested hierarchies for
-multigrid. The prolongations between levels are CSR; the Galerkin
-coarsening of a grid matrix runs on its diagonals (GALERKIN_LEFT_TERMS
-and GALERKIN_RIGHT_TERMS)."""
+of their P1 matrices on the 7-point stencil, and the P1 coarsening of
+those grids for multigrid: the grid of side n/2 is nested in that of
+side n, the transfer R^T between them is CSR (p1_restriction), and the
+Galerkin coarsening R^T X R of a grid matrix runs on its diagonals
+(GALERKIN_LEFT_TERMS and GALERKIN_RIGHT_TERMS). All three read the
+children of a coarse node and their weights from one table,
+_CHILD_WEIGHT over _STENCIL."""
 
 import math
 from dataclasses import dataclass
@@ -168,7 +171,7 @@ LOAD_TERMS = tuple(sorted(
     key=lambda term: (-term[1], -term[0], term[2])))
 
 # The Galerkin coarsening R^T X R of a matrix X on the stencil, R the P1
-# prolongation of build_hierarchy, in the order in which scipy's CSR
+# prolongation (p1_restriction), in the order in which scipy's CSR
 # products sum it. The children of coarse node I are the fine nodes
 # 2I + a, a in _STENCIL, ascending, each with its weight R[2I + a, I]: 1
 # at a = (0, 0), else 1/2. Row I of T = R^T X holds entries at the fine
@@ -194,6 +197,24 @@ GALERKIN_RIGHT_TERMS = tuple(
     (d, dx, dy, GALERKIN_OFFSETS.index((2 * dx + bx, 2 * dy + by)), _CHILD_WEIGHT[bx, by])
     for d, (dx, dy) in enumerate(_STENCIL)
     for bx, by in _STENCIL if (2 * dx + bx, 2 * dy + by) in GALERKIN_OFFSETS)
+
+
+def p1_restriction(nc):
+    """R^T as CSR, R the P1 interpolation from the nc-grid to the 2nc-grid
+    (coincident nodes inject, edge midpoints average their endpoints).
+    Row I holds the children 2I + a of coarse node I that lie on the fine
+    grid (those with I + a on the coarse grid, stencil_mask), a in
+    _STENCIL ascending, which is their column order, each with weight
+    _CHILD_WEIGHT[a]: the bytes of scipy's R.T.tocsr(), whose R.T.tocsr()
+    in turn gives R's."""
+    nf = 2 * nc
+    y, x = np.divmod(np.arange((nc + 1) ** 2), nc + 1)
+    on = stencil_mask(nc)
+    children = (2 * y * (nf + 1) + 2 * x)[:, None] + stencil_offsets(nf)
+    weights = np.broadcast_to([_CHILD_WEIGHT[a] for a in _STENCIL], on.shape)
+    indptr = np.concatenate([[0], np.cumsum(on.sum(axis=1))])
+    return sp.csr_matrix((weights[on], children[on], indptr),
+                         shape=((nc + 1) ** 2, (nf + 1) ** 2))
 
 
 def nested_dissection(n):
@@ -225,44 +246,9 @@ def nested_dissection(n):
     return np.concatenate(pieces)
 
 
-@dataclass(frozen=True)
-class MeshHierarchy:
-    """P1 interpolation operators between the nested meshes k = 1..k_fine,
-    coarsest first, and the node count of the finest mesh."""
-
-    prolongations: list    # prolongations[i]: level i -> level i+1
-    num_nodes: int
-
-
-def build_hierarchy(k_fine):
-    """Prolongations between the meshes k = 1..k_fine; builds no TriMesh."""
-    _check_level(k_fine)
-    prolongations = [_p1_prolongation(2 ** (k + 1)) for k in range(1, k_fine)]
-    return MeshHierarchy(prolongations=prolongations, num_nodes=nodes_at_level(k_fine))
-
-
-def _p1_prolongation(nc):
-    """Interpolation matrix from the nc-grid to the 2*nc-grid, as CSR.
-
-    Coincident nodes inject; edge midpoints average their two endpoints.
-    The square-center fine nodes sit on the split diagonal, so they
-    average the lower-left and upper-right coarse corners. So fine row
-    (x, y) holds the coarse node (x // 2, y // 2) with weight 1 when x
-    and y are even, and else that node and the one (x % 2, y % 2) from
-    it, columns ascending, with weight 1/2 each: built by index
-    arithmetic.
-    """
-    nf = 2 * nc
-    fy, fx = np.divmod(np.arange((nf + 1) ** 2), nf + 1)
-    odd_x, odd_y = fx % 2, fy % 2
-    lower = (fy // 2) * (nc + 1) + fx // 2
-    pair = (odd_x | odd_y).astype(bool)
-    cols = np.column_stack([lower, lower + odd_x + (nc + 1) * odd_y])
-    vals = np.where(pair, 0.5, 1.0)
-    stored = np.column_stack([np.ones_like(pair), pair])
-    indptr = np.concatenate([[0], np.cumsum(1 + pair)])
-    return sp.csr_matrix((np.column_stack([vals, vals])[stored], cols[stored], indptr),
-                         shape=((nf + 1) ** 2, (nc + 1) ** 2))
+# returns None, for perfbench/workloads.py's call until ROADMAP item 1 deletes it
+def build_hierarchy(k):
+    _check_level(k)
 
 
 def write_mesh_text(mesh, path):

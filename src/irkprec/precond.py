@@ -4,7 +4,8 @@ factored, whose solve (alias apply_inverse) substitutes forward or
 backward over the stages. Its block solver decides how each distinct
 diagonal block M + h_t^mu p_ii F is solved: the exact LU by default, or
 one V-cycle on the Galerkin coarsenings R^T X R of M and F, R the P1
-prolongations of a mesh hierarchy.
+prolongations between the nested grids below M's (galerkin_levels reads
+the depth from M's grid side alone).
 
 Every level is stored on its grid's 7 stencil diagonals (DIA storage,
 as the assembled M and F): M and F go onto them once (on_stencil), and
@@ -12,9 +13,10 @@ each coarse level is formed from the next finer one's diagonal data by
 strided in-place adds on grid views, in the order in which scipy's CSR
 products R.T @ X @ R sum (mesh.GALERKIN_LEFT_TERMS and
 GALERKIN_RIGHT_TERMS), so it is bit for bit that product. Every level's
-M_l + c F_l is then the sum of two data arrays on shared offsets
-(scipy's DIA sum), and its sweeps and residuals are DIA products; the
-prolongations and their stored transposes stay CSR, for the transfers.
+M_l + c F_l is then the sum of two data arrays on shared offsets (the
+bytes of scipy's DIA sum), and its sweeps and residuals are DIA
+products. The transfers stay CSR: each R^T by index arithmetic
+(mesh.p1_restriction) and R as its transpose, built with the levels.
 
 Stage vectors are stage-major, as in stageop: the preconditioner's
 apply_inverse takes and returns x[i*N:(i+1)*N] as the i-th stage block,
@@ -39,7 +41,7 @@ from .assembly import on_stencil
 from .butcher import PreconditionerKind, butcher_preconditioner_matrix
 from .errors import SubsolveError
 from .mesh import (GALERKIN_LEFT_TERMS, GALERKIN_OFFSETS, GALERKIN_RIGHT_TERMS, grid_side,
-                   stencil_offsets)
+                   p1_restriction, stencil_offsets)
 from .stageop import StageOperator, factor, spmv
 
 SMOOTHER_DAMPING = 2.0 / 3.0
@@ -47,28 +49,33 @@ PRE_SWEEPS = 2
 POST_SWEEPS = 2
 
 
-def galerkin_levels(M, F, levels):
-    """[(M_l, F_l)], `levels` pairs from coarsest to finest: M and F on
-    the finest level, put onto their grid's stencil diagonals
-    (on_stencil), and below each level its Galerkin coarsening R^T X R, R
-    the P1 prolongation of mesh.build_hierarchy, formed from that level's
-    DIA data (_coarsen). Raises ValueError when M or F is no matrix of
-    one (n+1)^2 grid's stencil or n is not divisible by 2^(levels-1)."""
+def galerkin_levels(M, F):
+    """[(M_l, F_l, R_l, Rt_l)] from the coarsest level, the 25-node grid
+    (k = 1), to the finest: M and F on the finest level, put onto their
+    grid's stencil diagonals (on_stencil), and below each level its
+    Galerkin coarsening R^T X R, formed from that level's DIA data
+    (_coarsen). R_l is the P1 prolongation from level l - 1 to level l
+    and Rt_l its transpose (mesh.p1_restriction), both CSR, and both None
+    on the coarsest level. Raises ValueError when M or F is no matrix of
+    one (n+1)^2 grid's stencil or n is not 2^(k+1), k >= 1."""
     M, F = (on_stencil(X) for X in (M, F))
     n = grid_side(M)
     if n is None or grid_side(F) != n:
         raise ValueError("M and F must be matrices of one grid with no entry off its stencil")
-    if levels < 1 or n % 2 ** (levels - 1):
-        raise ValueError(f"a grid of side {n} has no {levels} nested levels")
-    pairs = [(M, F)]
+    if n < 4 or n & (n - 1):
+        raise ValueError(f"a grid of side {n} does not halve down to the 25-node grid")
+    levels = []
     fine = [X.data.reshape(1, -1, n + 1, n + 1) for X in (M, F)]
-    for _ in range(levels - 1):
+    while n > 4:
         data = _coarsen(fine, n)
+        Rt = p1_restriction(n // 2)
+        levels.append((M, F, Rt.T.tocsr(), Rt))
         n //= 2
         offsets = stencil_offsets(n)
-        pairs.append(tuple(sp.dia_matrix((X, offsets), shape=(X.shape[1],) * 2) for X in data))
+        M, F = (sp.dia_matrix((X, offsets), shape=(X.shape[1],) * 2) for X in data)
         fine = [data.reshape(2, -1, n + 1, n + 1)]
-    return pairs[::-1]
+    levels.append((M, F, None, None))
+    return levels[::-1]
 
 
 def _coarsen(fine, n):
@@ -110,30 +117,27 @@ def _add_scaled(out, w, x, scratch):
     out += x
 
 
-def restrictions(prolongations):
-    """R^T of each prolongation, stored once as CSR (not rebuilt as the
-    CSC view R.T on every use); its mat-vec adds in R.T's order."""
-    return [R.T.tocsr() for R in prolongations]
-
-
 class VCycleSubsolver:
     """One geometric V(2,2) cycle for M + c F on the Galerkin levels
-    (M_l, F_l) of galerkin_levels, coarse to fine; each level matrix is
-    M_l + c F_l, and d is its diagonal.
+    (M_l, F_l, R_l, Rt_l) of galerkin_levels, coarse to fine; each level
+    matrix is M_l + c F_l, and d is its diagonal.
 
     Damped Jacobi (omega = 2/3) smoothing, residual restriction by the
-    stored transpose of the interpolation (`restrictions`, shared by every
-    subsolver built from the same hierarchy), exact LU solve on the
-    coarsest level (nnz is that LU's fill).
+    stored transpose of the interpolation (the levels' transfers, shared
+    by every subsolver built from the same levels), exact LU solve on the
+    coarsest level (nnz is that LU's fill). Each M_l + c F_l is the sum of
+    the two levels' data on their shared offsets, the bytes of scipy's
+    DIA sum without its two calls and their checks.
     """
 
-    def __init__(self, levels, prolongations, restrictions, c):
-        self.S = [Ml + c * Fl for Ml, Fl in levels]
+    def __init__(self, levels, c):
+        self.S = [sp.dia_matrix((Ml.data + c * Fl.data, Ml.offsets), shape=Ml.shape)
+                  for Ml, Fl, *_ in levels]
         self.diag = [S.diagonal() for S in self.S]
         if any(np.any(d == 0.0) for d in self.diag):
             raise SubsolveError("zero diagonal entry in multigrid level matrix")
-        self.prolongations = prolongations  # [l]: level l -> level l + 1
-        self.restrictions = restrictions    # [l]: prolongations[l].T as CSR
+        self.prolongations = [R for _, _, R, _ in levels[1:]]  # [l]: level l -> l + 1
+        self.restrictions = [Rt for *_, Rt in levels[1:]]      # [l]: prolongations[l].T
         self.coarse_lu = factor(self.S[0])
         self.nnz = self.coarse_lu.nnz
         top = len(self.S) - 1
@@ -188,13 +192,12 @@ def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
 
     subsolve="exact" factorizes each distinct diagonal block
     M + h_t^mu p_ii F; subsolve="vcycle" gives each one a V-cycle
-    subsolver on the Galerkin levels of M and F (galerkin_levels, one
-    per mesh of `hierarchy`, which that mode requires) and on the
-    restrictions, both computed once per call, the restrictions from the
-    hierarchy's prolongations, and shared by the subsolvers. M and F
-    must be matrices of the hierarchy's finest grid with no entry off its
-    stencil (ValueError). `coeff` is unused; it is accepted so that
-    callers passing it keep working.
+    subsolver on the Galerkin levels of M and F and their transfers
+    (galerkin_levels), computed once per call and shared by the
+    subsolvers. For it, M and F must be matrices of one grid of side
+    2^(k+1), k >= 1, with no entry off its stencil (ValueError).
+    `hierarchy` and `coeff` are unused; they are accepted so that callers
+    passing them keep working.
     """
     kind = PreconditionerKind(kind)
     P = butcher_preconditioner_matrix(tableau, kind)
@@ -204,14 +207,9 @@ def build_preconditioner(tableau, kind, M, F, h_t, mu, subsolve="exact",
         return StageOperator(P, M, F, h_t, mu).factorize()
     if subsolve != "vcycle":
         raise ValueError(f"unknown subsolve mode {subsolve!r}")
-    if hierarchy is None:
-        raise ValueError("vcycle subsolves need a hierarchy")
-    if hierarchy.num_nodes != M.shape[0]:
-        raise ValueError("hierarchy finest mesh does not match M")
-    levels = galerkin_levels(M, F, len(hierarchy.prolongations) + 1)
-    restrict = restrictions(hierarchy.prolongations)
+    levels = galerkin_levels(M, F)
 
     def vcycle(M, F, c):
-        return VCycleSubsolver(levels, hierarchy.prolongations, restrict, c)
+        return VCycleSubsolver(levels, c)
 
     return StageOperator(P, M, F, h_t, mu, vcycle).factorize()

@@ -95,9 +95,9 @@ def spmv(A, x, out):
     are bit for bit those of A @ x and of the CSR product. DIA also adds
     0 x_q for each padded or explicit-zero entry, which leaves a finite
     sum unchanged (a sum started from +0 is never -0), but a non-finite
-    x_q gives NaN where CSR skips the entry. A CSR matrix (the
-    prolongations and restrictions, foreign matrices) goes through the
-    CSR kernel; any other format is refused."""
+    x_q gives NaN where CSR skips the entry. A CSR matrix (the V-cycle's
+    transfers R and R^T of precond.galerkin_levels, foreign matrices)
+    goes through the CSR kernel; any other format is refused."""
     # A @ x ends in these same kernels (started from zeros, as here), but
     # first dispatches on the operand types and allocates its result; at
     # the sizes of the V-cycle's levels that overhead costs about as much

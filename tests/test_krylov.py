@@ -10,7 +10,7 @@ from irkprec.butcher import nystrom_from, gauss_legendre, radau_iia
 from irkprec import driver, krylov
 from irkprec.errors import ResourceLimitError
 from irkprec.krylov import BREAKDOWN_TOL, gmres, reference_solve
-from irkprec.mesh import build_hierarchy, build_mesh
+from irkprec.mesh import build_mesh
 from irkprec.precond import build_preconditioner
 from irkprec.stageop import StageOperator, lu_block
 
@@ -82,7 +82,7 @@ def k3_systems():
                               ("wave", nystrom_from(gauss_legendre(3)), 2)):
         op = StageOperator(tableau, M, F, mesh.h, mu)
         systems[name] = (tableau, mu, op, rng.standard_normal(op.size))
-    return M, F, build_hierarchy(k), systems
+    return M, F, systems
 
 
 class TestBlasKernel:
@@ -90,10 +90,9 @@ class TestBlasKernel:
     @pytest.mark.parametrize("kind", ["J", "LD"])
     @pytest.mark.parametrize("problem", ["diffusion", "wave"])
     def test_matches_numpy_mgs(self, k3_systems, problem, kind, subsolve):
-        M, F, hierarchy, systems = k3_systems
+        M, F, systems = k3_systems
         tableau, mu, op, b = systems[problem]
-        prec = build_preconditioner(tableau, kind, M, F, op.h_t, mu,
-                                    subsolve=subsolve, hierarchy=hierarchy)
+        prec = build_preconditioner(tableau, kind, M, F, op.h_t, mu, subsolve=subsolve)
         b_in = b.copy()
         x, report = gmres(op, prec, b_in, tol=1e-10, max_iter=300)
         assert np.array_equal(b_in, b)
@@ -105,7 +104,7 @@ class TestBlasKernel:
 
     def test_strided_preconditioner_output(self, k3_systems):
         # daxpy returns a copy for a non-contiguous w; the loop must use it
-        M, F, _, systems = k3_systems
+        M, F, systems = k3_systems
         tableau, mu, op, b = systems["wave"]
         prec = build_preconditioner(tableau, "LD", M, F, op.h_t, mu)
 
@@ -122,7 +121,7 @@ class TestBlasKernel:
 
     def test_float32_preconditioner_output(self, k3_systems):
         # a float32 w is converted, not projected in single precision
-        M, F, _, systems = k3_systems
+        M, F, systems = k3_systems
         tableau, mu, op, b = systems["diffusion"]
         prec = build_preconditioner(tableau, "LD", M, F, op.h_t, mu)
         x, report = gmres(op, lambda v: prec.apply_inverse(v).astype(np.float32),
@@ -265,8 +264,7 @@ class TestGmres:
         t = radau_iia(2)
         h_t = mesh.h ** (2.0 / 3.0)
         op = StageOperator(t, M, F, h_t, 1)
-        prec = build_preconditioner(t, "LD", M, F, h_t, 1, subsolve="vcycle",
-                                    hierarchy=build_hierarchy(k))
+        prec = build_preconditioner(t, "LD", M, F, h_t, 1, subsolve="vcycle")
         b = np.random.default_rng(23).standard_normal(op.size)
         x, report = gmres(op, prec, b, tol=1e-8)
         assert report.converged

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from irkprec.assembly import assemble_mass
 from irkprec.errors import ResourceLimitError
-from irkprec.mesh import (MAX_LEVEL, _p1_prolongation, build_hierarchy, build_mesh,
-                          nested_dissection, nodes_at_level, read_mesh_text, write_mesh_text)
+from irkprec.mesh import (MAX_LEVEL, build_hierarchy, build_mesh, nested_dissection,
+                          nodes_at_level, p1_restriction, read_mesh_text, write_mesh_text)
+from irkprec.precond import galerkin_levels
 
 
 def signed_areas(mesh):
@@ -60,18 +61,22 @@ class TestBuildMesh:
 
 
 class TestHierarchy:
+    """The P1 transfers that galerkin_levels builds, checked against the
+    COO reference and the meshes they join."""
+
     def test_two_levels_shapes(self):
-        hi = build_hierarchy(2)
-        assert len(hi.prolongations) == 1
-        P = hi.prolongations[0]
-        assert P.shape == (81, 25)
+        assert p1_restriction(4).shape == (25, 81)
+        assert p1_restriction(4).T.tocsr().shape == (81, 25)
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_prolongations_match_meshes(self, k):
-        hi = build_hierarchy(k)
+        M = assemble_mass(build_mesh(k))
+        levels = galerkin_levels(M, M)
         sizes = [build_mesh(j).num_nodes for j in range(1, k + 1)]
-        assert [P.shape for P in hi.prolongations] == list(zip(sizes[1:], sizes))
-        assert hi.num_nodes == sizes[-1] == nodes_at_level(k)
+        assert [Ml.shape[0] for Ml, *_ in levels] == sizes
+        assert [R.shape for _, _, R, _ in levels[1:]] == list(zip(sizes[1:], sizes))
+        assert [Rt.shape for *_, Rt in levels[1:]] == list(zip(sizes, sizes[1:]))
+        assert levels[0][2:] == (None, None)
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -86,47 +91,29 @@ class TestHierarchy:
             fine_set = {tuple(p) for p in np.round(fine.nodes, 12)}
             assert coarse_set <= fine_set
 
-    @staticmethod
-    def coo_prolongation(nc):
-        """The interpolation matrix from COO triplets of each kind of fine
-        node, converted to CSR by scipy: the reference."""
-        nf = 2 * nc
-        fidx = np.arange((nf + 1) ** 2)
-        fy, fx = np.divmod(fidx, nf + 1)
-        rows, cols, vals = [], [], []
-
-        def add(on, cx, cy, weight):
-            rows.append(fidx[on])
-            cols.append(cy[on] * (nc + 1) + cx[on])
-            vals.append(np.full(on.sum(), weight))
-
-        add((fx % 2 == 0) & (fy % 2 == 0), fx // 2, fy // 2, 1.0)
-        for shift in (0, 1):
-            add((fx % 2 == 1) & (fy % 2 == 0), (fx - 1) // 2 + shift, fy // 2, 0.5)
-            add((fx % 2 == 0) & (fy % 2 == 1), fx // 2, (fy - 1) // 2 + shift, 0.5)
-            add((fx % 2 == 1) & (fy % 2 == 1), (fx - 1) // 2 + shift, (fy - 1) // 2 + shift, 0.5)
-        return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                             shape=((nf + 1) ** 2, (nc + 1) ** 2)).tocsr()
-
-    @pytest.mark.parametrize("k", [1, 3, 6])
-    def test_prolongation_bytes_match_coo_route(self, k):
-        P, Q = _p1_prolongation(2 ** (k + 1)), self.coo_prolongation(2 ** (k + 1))
-        assert P.has_canonical_format
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(P, name), getattr(Q, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_prolongation_bytes_match_coo_route(self, coo_prolongation, k):
+        # R^T by index arithmetic, and R as its transpose, hold the bytes
+        # of the COO route's R and of R.T.tocsr(); k is the coarse level
+        Q = coo_prolongation(2 ** (k + 1))
+        Rt = p1_restriction(2 ** (k + 1))
+        for P, ref in ((Rt.T.tocsr(), Q), (Rt, Q.T.tocsr())):
+            assert P.has_canonical_format
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(P, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_prolongation_preserves_constants(self):
-        hi = build_hierarchy(3)
-        for P in hi.prolongations:
+        for nc in (4, 8):
+            P = p1_restriction(nc).T.tocsr()
             ones = np.ones(P.shape[1])
             assert np.allclose(P @ ones, 1.0, atol=1e-14)
 
     def test_prolongation_reproduces_linears(self):
-        hi = build_hierarchy(2)
+        P = p1_restriction(4).T.tocsr()
         coarse, fine = build_mesh(1), build_mesh(2)
         v = coarse.nodes[:, 0] + coarse.nodes[:, 1]
-        vf = hi.prolongations[0] @ v
+        vf = P @ v
         assert np.allclose(vf, fine.nodes[:, 0] + fine.nodes[:, 1], atol=1e-13)
 
 

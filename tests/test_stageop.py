@@ -11,8 +11,8 @@ from irkprec.butcher import (butcher_preconditioner_matrix, gauss_legendre,
                              nystrom_from, radau_iia)
 from irkprec.driver import method_tableau, mms_problem, timestep_rule
 from irkprec.errors import FactorizationError, ResourceLimitError
-from irkprec.mesh import build_hierarchy, build_mesh, stencil_mask, stencil_offsets
-from irkprec.precond import build_preconditioner
+from irkprec.mesh import build_mesh, stencil_mask, stencil_offsets
+from irkprec.precond import build_preconditioner, galerkin_levels
 from irkprec.stageop import StageOperator, build_stage_rhs
 
 
@@ -124,10 +124,10 @@ class TestSpmv:
         mesh = build_mesh(2)
         M = assemble_mass(mesh)
         F = assemble_stiffness(mesh, coefficient_preset("variable"))
-        R = build_hierarchy(2).prolongations[0]  # CSR, not square
+        *_, (_, _, R, Rt) = galerkin_levels(M, F)  # the V-cycle's CSR transfers
         S = M + (0.3 + 0.2j) * F
         return {"F": F, "F (CSR)": F.tocsr(), "M + cF": S, "M + cF (CSR)": S.tocsr(),
-                "R": R, "R^T": R.T.tocsr()}
+                "R": R, "R^T": Rt}
 
     @pytest.mark.parametrize("name", ["F", "F (CSR)", "M + cF", "M + cF (CSR)", "R", "R^T"])
     @pytest.mark.parametrize("x_complex", [False, True])
