@@ -6,18 +6,23 @@ conditions (no rows or columns are modified).
 
 Every matrix entry and load value is kept bit for bit equal to the plain
 formulas that define it: element geometry from nodes[triangles], the
-quadrature points v0 + P0 e1 + P1 e2, the einsum contractions, and the
-element matrices and loads summed in element order. As in stageop's
-kernels, each product and sum is the same operation on the same operands
-in the same order. The code only arranges that each piece of work is
-done once per chunk (the vertex coordinates gathered once, gradients only
-for the stiffness, f called once) and without spare copies. Swapping the two
-operands of one product or sum is exact and allowed. Reordering a sum,
-fusing operations or replacing a contraction by a matmul (which moved
-load entries by 1e-16) is not: M, F and every stage right-hand side feed
-every row the CLI reports, and the golden rows
-(tests/data/golden_rows.json) compare those rows by exact equality.
-tests/test_assembly.py keeps the plain formulas as references.
+quadrature points v0 + P0 e1 + P1 e2, the einsum contractions over the
+points, and the element matrices and loads summed in element order. As
+in stageop's kernels, each product and sum is the same operation on the
+same operands in the same order. The code only arranges that each piece
+of work is done once per chunk (the vertex coordinates gathered once,
+gradients only for the stiffness, f called once), each field once per
+distinct coordinate, and without spare copies. The contractions are
+explicit sums over the points in einsum's order (each entry's terms one
+add at a time, in point order, from +0.0), on local arrays stored
+entry-major, one contiguous row of T values per local entry, which the
+grid adds read as they are. Swapping the two operands of one product or
+sum is exact and allowed. Reordering a sum, fusing operations or
+replacing a contraction by a matmul (which moved load entries by 1e-16)
+is not: M, F and every stage right-hand side feed every row the CLI
+reports, and the golden rows (tests/data/golden_rows.json) compare
+those rows by exact equality. tests/test_assembly.py keeps the plain
+formulas as references.
 
 M and F are born in diagonal (DIA) storage: a scipy dia_matrix on the 7
 offsets of the mesh's stencil, ascending (mesh.stencil_offsets). M and F
@@ -50,11 +55,30 @@ of assemble_stiffness with a variable field and of the two mms forcing
 loads is 1.1x, 1.4x and 2.6x its result (6.4x, 21.6x and 66x in one
 piece; one BLAS thread, 2-core x86_64 host).
 
+Fields (CoefficientField.alpha and beta, Forcing.profiles, the f of
+assemble_load) are called once per chunk, on x and y arrays that
+broadcast to the chunk's quadrature points, laid out (rows, n, 2, Q):
+square row, square, half, point. A field must be elementwise (its value
+at a point depends on that point's x and y alone, as numpy's arithmetic
+and ufuncs do); its result may have any shape that broadcasts to the
+points (a scalar, say), and is broadcast to them before it is summed.
+The coordinates are compact when every node's x depends, bit for bit,
+on its column alone and its y on its row alone, as on build_mesh's grid
+(decided once per call from mesh.nodes): then x comes from the chunk's
+first square row, shape (1, n, 2, Q), and y from its first square
+column, (rows, 1, 2, Q), so a cos(pi x) is taken once per distinct x. A
+mesh with moved nodes gets both full, (rows, n, 2, Q). The points' x are
+equal down a square column (y along a row), the same operations on
+equal operands, and equal operands give equal IEEE results, so every
+value is that of the full evaluation.
+
 Loads have one path, assemble_loads: per chunk the geometry and the
-quadrature points once, then one contraction per profile. Every stage
-right-hand side goes through it (stageop.build_stage_rhs). At k=6 the
-joint pass over driver.mms_problem's two forcing modes takes about 17 ms
-with one BLAS thread on a 2-core x86_64 host.
+quadrature points once, then one point sum per profile. Every stage
+right-hand side goes through it (stageop.build_stage_rhs, once whatever
+the stage count). At k=6 the joint pass over driver.mms_problem's two
+forcing modes takes about 7 ms (about 17 ms with full coordinates and
+einsum contractions), and assemble_stiffness of the `variable` preset
+about 9 ms (17 ms), with one BLAS thread on a 2-core x86_64 host.
 """
 
 import math
@@ -122,57 +146,113 @@ def _gradients(ex, ey, det):
 
 def _gdot(gx, gy):
     """Local Gram matrices grad phi_i . grad phi_j = gx_i gx_j + gy_i gy_j,
-    shape (T, 3, 3); each product and sum is commutative, so entry (j, i)
-    is entry (i, j) bit for bit and is copied."""
-    gdot = np.empty((gx.shape[1], 3, 3))
+    entry-major, shape (3, 3, T); each product and sum is commutative, so
+    entry (j, i) is entry (i, j) bit for bit and is copied."""
+    gdot = np.empty((3, 3, gx.shape[1]))
     for i in range(3):
         for j in range(i, 3):
-            gdot[:, i, j] = gx[i] * gx[j] + gy[i] * gy[j]
+            gdot[i, j] = gx[i] * gx[j] + gy[i] * gy[j]
             if j != i:
-                gdot[:, j, i] = gdot[:, i, j]
+                gdot[j, i] = gdot[i, j]
     return gdot
 
 
+def _compact_coordinates(mesh):
+    """True when, bit for bit, every node's x depends on its column alone
+    and its y on its row alone, as on build_mesh's grid; then so do the
+    quadrature points' x and y, made from them by the same operations (a
+    mesh with moved nodes gets False)."""
+    grid = mesh.nodes.reshape(mesh.n + 1, mesh.n + 1, 2)
+    bits = np.ascontiguousarray(grid, dtype=float).view(np.int64)
+    return bool(np.all(bits[..., 0] == bits[:1, :, 0]) and np.all(bits[..., 1] == bits[:, :1, 1]))
+
+
 def _quad_coord(v0, e1, e2):
-    """One coordinate of all quadrature points, v0 + P0 e1 + P1 e2 for the
-    reference points (P0, P1), as a C-contiguous (T, Q) array."""
-    out = np.empty((v0.size, len(QUAD_POINTS)))
+    """One coordinate of the quadrature points, v0 + P0 e1 + P1 e2 for
+    the reference points (P0, P1), as a C-contiguous array of shape
+    v0.shape + (Q,)."""
+    out = np.empty(v0.shape + (len(QUAD_POINTS),))
     for q, (p0, p1) in enumerate(QUAD_POINTS):
-        out[:, q] = v0 + p0 * e1 + p1 * e2
+        out[..., q] = v0 + p0 * e1 + p1 * e2
     return out
 
 
+def _quad_points(n, ex, ey, compact):
+    """x and y of the quadrature points of a chunk of whole square rows of
+    a mesh of side n, from its _geometry ex and ey: two C-contiguous
+    arrays that broadcast to the points' (rows, n, 2, Q) layout (square
+    row, square, half, point). With compact coordinates
+    (_compact_coordinates) x comes from the chunk's first square row,
+    shape (1, n, 2, Q), and y from its first square column, (rows, 1, 2,
+    Q); else both are (rows, n, 2, Q)."""
+    x, y = ([c.reshape(-1, n, 2) for c in e] for e in (ex, ey))
+    if compact:
+        x, y = [c[:1] for c in x], [c[:, :1] for c in y]
+    return _quad_coord(*x), _quad_coord(*y)
+
+
 def _point_values(values, shape):
-    """values (of a field or a profile at the quadrature points) as a
-    C-contiguous float array of the points' shape; a result of another
-    shape (a scalar, say) is broadcast and copied."""
+    """values (of a field or a profile at the quadrature points, any
+    shape that broadcasts to the points' (rows, n, 2, Q)) broadcast to
+    those points and copied where needed, as a C-contiguous (T, Q) float
+    array."""
     out = np.asarray(values, dtype=float)
-    return np.ascontiguousarray(np.broadcast_to(out, shape))
+    return np.ascontiguousarray(np.broadcast_to(out, shape)).reshape(-1, shape[-1])
 
 
-def _stiffness_local(mesh, coeff, triangles):
+def _stiffness_local(mesh, coeff, compact, triangles):
     """Local matrices of the bilinear form alpha grad.grad + beta id.id on
-    the given triangles, shape (T, 3, 3): closed form for a constant
-    field, else the degree-4 rule on the coefficient values at the mapped
-    quadrature points, whose weights sum to 1, so that the element
-    integral is area * sum_q w_q f(x_q). Refuses bad values of a variable
-    field at these triangles' points (_check_coefficients)."""
+    the given triangles (whole square rows), entry-major, shape (3, 3, T)
+    (one contiguous row of T values per entry (i, j)): closed form for
+    a constant field, else the degree-4 rule on the coefficient values at
+    the mapped quadrature points (_quad_points, compact or not), whose
+    weights sum to 1, so that the element integral is area * sum_q w_q
+    f(x_q) (the beta part by _mass_sum). Refuses bad values of a
+    variable field at these triangles' points (_check_coefficients)."""
     ex, ey, det = _geometry(mesh, triangles)
     area = 0.5 * det
     gx, gy = _gradients(ex, ey, det)
     S = _gdot(gx, gy)
     if coeff.is_constant:
-        S *= (coeff.const_alpha * area)[:, None, None]
-        S += (coeff.const_beta * area)[:, None, None] * _MASS_TEMPLATE[None]
+        S *= coeff.const_alpha * area
+        S += (coeff.const_beta * area) * _MASS_TEMPLATE[:, :, None]
         return S
-    xq, yq = _quad_coord(*ex), _quad_coord(*ey)
-    alpha_q = _point_values(coeff.alpha(xq, yq), xq.shape)
-    beta_q = _point_values(coeff.beta(xq, yq), xq.shape)
+    xq, yq = _quad_points(mesh.n, ex, ey, compact)
+    shape = np.broadcast_shapes(xq.shape, yq.shape)
+    alpha_q = _point_values(coeff.alpha(xq, yq), shape)
+    beta_q = _point_values(coeff.beta(xq, yq), shape)
     _check_coefficients(alpha_q, beta_q)
-    S *= (area * (alpha_q @ QUAD_WEIGHTS))[:, None, None]
-    wb = beta_q * QUAD_WEIGHTS
-    S += area[:, None, None] * np.einsum("tq,qi,qj->tij", wb, QUAD_PHI, QUAD_PHI)
+    S *= area * (alpha_q @ QUAD_WEIGHTS)
+    S += area * _mass_sum(beta_q)
     return S
+
+
+def _load_sum(f_q):
+    """sum_q (f_q w_q) phi_qi of (T, Q) point values, entry-major, shape
+    (3, T): each entry's terms added one at a time, in q order, from
+    +0.0, the order of einsum("tq,q,qi->ti", f_q, QUAD_WEIGHTS,
+    QUAD_PHI)."""
+    out = np.zeros((3, f_q.shape[0]))
+    for q, (w, phi) in enumerate(zip(QUAD_WEIGHTS, QUAD_PHI)):
+        fw = f_q[:, q] * w
+        for i in range(3):
+            out[i] += fw * phi[i]
+    return out
+
+
+def _mass_sum(f_q):
+    """sum_q ((f_q w_q) phi_qi) phi_qj of (T, Q) point values,
+    entry-major, shape (3, 3, T): each entry's terms added one at a time,
+    in q order, from +0.0, the order of einsum("tq,qi,qj->tij", f_q *
+    QUAD_WEIGHTS, QUAD_PHI, QUAD_PHI)."""
+    out = np.zeros((3, 3, f_q.shape[0]))
+    for q, (w, phi) in enumerate(zip(QUAD_WEIGHTS, QUAD_PHI)):
+        fw = f_q[:, q] * w
+        for i in range(3):
+            fw_phi = fw * phi[i]
+            for j in range(3):
+                out[i, j] += fw_phi * phi[j]
+    return out
 
 
 def _check_coefficients(alpha, beta):
@@ -196,8 +276,12 @@ class CoefficientField:
     """Diffusivity alpha(x, y) > 0 and reaction beta(x, y) >= 0.
 
     const_alpha/const_beta are set for spatially constant presets and
-    switch assembly to exact closed-form local matrices. grad_alpha is
-    the analytic gradient of alpha, needed for manufactured solutions.
+    switch assembly to exact closed-form local matrices. Otherwise
+    assemble_stiffness calls alpha and beta once per chunk of triangles,
+    on x and y arrays that broadcast to its quadrature points (compact
+    on build_mesh's grid, see the module docstring), so they must be
+    elementwise. grad_alpha is the analytic gradient of alpha, needed
+    for manufactured solutions.
     """
 
     alpha: Callable
@@ -262,9 +346,10 @@ def _chunks(mesh):
 
 
 def _assemble_matrix(mesh, local_matrices):
-    """Sum the (T_c, 3, 3) local matrices local_matrices(triangles) of each
-    chunk into a DIA matrix on the mesh's stencil diagonals, each entry's
-    terms added in element order, from +0.0: per chunk of `rows` square
+    """Sum the entry-major (3, 3, T_c) local matrices
+    local_matrices(triangles) of each chunk into a DIA matrix on the
+    mesh's stencil diagonals, each entry's terms added in element order,
+    from +0.0: per chunk of `rows` square
     rows, one in-place add of the entries (i, j) of half h of its
     squares onto diagonal d, shifted by the corner (x, y), for each term
     of mesh.MATRIX_TERMS in turn."""
@@ -273,9 +358,9 @@ def _assemble_matrix(mesh, local_matrices):
     data = np.zeros((offsets.size, N))
     grid = data.reshape(offsets.size, n + 1, n + 1)
     for start, rows, triangles in _chunks(mesh):
-        local = local_matrices(triangles).reshape(rows, n, 2, 3, 3)
+        local = local_matrices(triangles).reshape(3, 3, rows, n, 2)
         for d, x, y, h, i, j in MATRIX_TERMS:
-            grid[d, start + y:start + y + rows, x:x + n] += local[:, :, h, i, j]
+            grid[d, start + y:start + y + rows, x:x + n] += local[i, j, :, :, h]
     return sp.dia_matrix((data, offsets), shape=(N, N))
 
 
@@ -284,7 +369,7 @@ def assemble_mass(mesh):
     is exact for straight triangles."""
     def local_matrices(triangles):
         area = 0.5 * _geometry(mesh, triangles)[2]
-        return area[:, None, None] * _MASS_TEMPLATE[None]
+        return area * _MASS_TEMPLATE[:, :, None]
     return _assemble_matrix(mesh, local_matrices)
 
 
@@ -299,7 +384,8 @@ def assemble_stiffness(mesh, coeff):
     """
     if coeff.is_constant:
         _check_coefficients(coeff.const_alpha, coeff.const_beta)
-    return _assemble_matrix(mesh, partial(_stiffness_local, mesh, coeff))
+    compact = _compact_coordinates(mesh)
+    return _assemble_matrix(mesh, partial(_stiffness_local, mesh, coeff, compact))
 
 
 @dataclass(frozen=True)
@@ -308,8 +394,10 @@ class Forcing:
     are functions of time alone; profiles(x, y) yields p_0(x, y),
     p_1(x, y), ... in mode order from one joint evaluation, so the modes
     may share work (driver.mms_problem's w and K w share their cosines).
-    assemble_loads calls it once per chunk of triangles, on that chunk's
-    quadrature points, and it must yield the same modes every time.
+    assemble_loads calls it once per chunk of triangles, on x and y
+    arrays that broadcast to that chunk's quadrature points (compact on
+    build_mesh's grid, see the module docstring), so each p_m must be
+    elementwise, and it must yield the same modes every time.
     """
 
     amplitudes: tuple        # (a_0(t), a_1(t), ...)
@@ -317,7 +405,7 @@ class Forcing:
 
     def __call__(self, x, y, t):
         """g(x, y, t): zeros shaped like x plus each a_m(t) p_m(x, y) in
-        mode order."""
+        mode order, broadcast."""
         out = np.zeros_like(np.asarray(x, dtype=float))
         for a, p in zip(self.amplitudes, self.profiles(x, y), strict=True):
             out = out + a(t) * p
@@ -328,28 +416,33 @@ def assemble_loads(mesh, profiles):
     """Load vectors <f_m, phi_l> of several profiles with the same degree-4
     quadrature, one row each of an m x N array. Chunk by chunk (as the
     matrices), the geometry and the quadrature points are made once;
-    profiles(x, y) is called once per chunk, on two C-contiguous (T_c, Q)
-    arrays of that chunk's point coordinates, and yields the f_m values
-    in turn, as many on every chunk; each is contracted to its (T_c, 3)
-    local loads before the next is asked for. A chunk's local loads are
+    profiles(x, y) is called once per chunk, on two C-contiguous float
+    arrays of that chunk's point coordinates that broadcast to its
+    points (rows, n, 2, Q): compact, (1, n, 2, Q) and (rows, 1, 2, Q),
+    when the mesh's coordinates are (see the module docstring), else
+    full. It yields the f_m values in turn, as many on every chunk, each
+    elementwise and of any shape that broadcasts to the points; each is
+    summed to its (3, T_c) local loads (_load_sum) before the next is
+    asked for. The cost of a pass is in the module docstring. A chunk's
+    local loads are
     added onto the grid of nodes one term of mesh.LOAD_TERMS at a time,
     which relies on build_mesh's order of the triangles, as the
     matrices do."""
     n = mesh.n
+    compact = _compact_coordinates(mesh)
     loads = None
     for start, rows, triangles in _chunks(mesh):
         ex, ey, det = _geometry(mesh, triangles)
         area = 0.5 * det
-        xq, yq = _quad_coord(*ex), _quad_coord(*ey)
-        local = [area[:, None] * np.einsum("tq,q,qi->ti", _point_values(f_q, xq.shape),
-                                           QUAD_WEIGHTS, QUAD_PHI)
-                 for f_q in profiles(xq, yq)]
+        xq, yq = _quad_points(n, ex, ey, compact)
+        shape = np.broadcast_shapes(xq.shape, yq.shape)
+        local = [area * _load_sum(_point_values(f_q, shape)) for f_q in profiles(xq, yq)]
         if loads is None:
             loads = np.zeros((len(local), mesh.num_nodes))
         for grid, terms in zip(loads.reshape(-1, n + 1, n + 1), local, strict=True):
-            terms = terms.reshape(rows, n, 2, 3)
+            terms = terms.reshape(3, rows, n, 2)
             for x, y, h, i in LOAD_TERMS:
-                grid[start + y:start + y + rows, x:x + n] += terms[:, :, h, i]
+                grid[start + y:start + y + rows, x:x + n] += terms[i, :, :, h]
     return loads
 
 

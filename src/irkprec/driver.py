@@ -27,9 +27,9 @@ class ProblemSpec:
     profiles scaled by functions of time alone. Since the load <g, phi>
     is linear in g, every stage load is sum_m a_m(t) <p_m, phi>:
     stageop.build_stage_rhs assembles the two mode loads in one joint
-    pass (about 17 ms at k=6, whatever s is) and combines them, for
-    `gmres`' one step as for every step of a march. Called as a function,
-    g gives the values of the summed forcing.
+    pass whatever s is (its cost: the assembly module docstring) and
+    combines them, for `gmres`' one step as for every step of a march.
+    Called as a function, g gives the values of the summed forcing.
     """
 
     name: str
@@ -107,7 +107,9 @@ def mms_problem(name, coeff):
         # Lap w = -2 pi^2 w. They share one cos and one sin per coordinate;
         # each value is the product w(x, y) or -pi sin cos would form on its
         # own. Assembly calls this a chunk of triangles at a time, so the
-        # arrays it holds are small.
+        # arrays it holds are small; on build_mesh's grid x and y come
+        # compact (one square row of x, one square column of y), so each
+        # cos and sin is taken once per distinct coordinate.
         px, py = pi * x, pi * y
         cx, cy = np.cos(px), np.cos(py)
         w_xy = cx * cy

@@ -155,6 +155,17 @@ class BlockLU:
         return x
 
 
+def _real(x):
+    """x as a float64 array; TypeError for complex x, which the real
+    operator would otherwise apply or solve as Re(x) (numpy's cast drops
+    the imaginary part with only a ComplexWarning)."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise TypeError(f"a real stage operator (float64) cannot take a {x.dtype} "
+                        f"stage vector: apply or solve its real and imaginary parts")
+    return np.asarray(x, dtype=float)
+
+
 def lu_block(M, F, c):
     """The default block solver: the exact LU of M + c F."""
     return factor(M + c * F)
@@ -229,7 +240,7 @@ class StageOperator:
 
     def _blocks(self, x):
         """The stage vector x as an s x N array, one row per stage block."""
-        x = np.asarray(x, dtype=float)
+        x = _real(x)
         if x.shape != (self.size,):
             raise ValueError(f"expected stage vector of length {self.size}, got {x.shape}")
         return x.reshape(self.s, self.N)
@@ -275,7 +286,7 @@ class StageOperator:
         Q, T, lower, blocks = self.factorize()._factors
         if transpose:
             T, lower = T.T, not lower
-        r = np.asarray(r, dtype=float)
+        r = _real(r)
         if r.ndim not in (1, 2) or r.shape[0] != self.size:
             raise ValueError(f"expected {self.size} rows of stage vectors, got {r.shape}")
         R = r.reshape(self.s, self.N, *r.shape[1:])
@@ -365,12 +376,9 @@ def build_stage_rhs(mesh, coeff, tableau, h_t, mu, t_prev, u_prev,
     callable g(x, y, t) is taken as s modes of its own, its slices
     g(., ., t_i), each load used as it is.
 
-    The load pass is the cost; the combination and the F products are
-    O(s N). At k=6 (T = 32768, one BLAS thread, 2-core x86_64 host) the
-    pass over mms_problem's w and K w, a chunk of triangles at a time,
-    takes about 17 ms whatever s is, against about 25 ms a stage when
-    each stage load was assembled from the summed g in one piece (55-80
-    ms in all at s=3). It grows 4x per level.
+    The load pass is the cost, one whatever s is (the assembly module
+    docstring gives it at k=6; it grows 4x per level); the combination
+    and the F products are O(s N).
     """
     if mu == 2 and udot_prev is None:
         raise ValueError("udot_prev is required when mu = 2")

@@ -331,30 +331,34 @@ def assert_same_dia(A, B):
 
 
 # Fields that take the quadrature path with results the assembly must
-# broadcast: a scalar, and a (T, 1) column.
+# broadcast: a scalar, and a column, the value at each triangle's first
+# point for all of its points (the last axis of length 1).
 ODD_SHAPES = {
     "scalar": CoefficientField(alpha=lambda x, y: 1.5, beta=lambda x, y: 0.25),
-    "column": CoefficientField(alpha=lambda x, y: 1.0 + 0.0 * x[:, :1],
-                               beta=lambda x, y: np.abs(y[:, :1])),
+    "column": CoefficientField(alpha=lambda x, y: 1.0 + 0.0 * x[..., :1],
+                               beta=lambda x, y: np.abs(y[..., :1])),
 }
 
 
+# The four problems, each with both coefficient presets that fit it.
+MMS_PAIRS = [(name, preset) for name in PROBLEM_NAMES for preset in {
+    "diffusion": ("constant-diffusion", "variable-beta-zero"),
+    "wave": ("constant-diffusion", "variable-beta-zero"),
+    "pennes": ("constant-ones", "variable"),
+    "klein-gordon": ("constant-ones", "variable")}[name]]
+
+
 def forcing_profiles():
-    """Each forcing profile of the four problems with both coefficient
-    presets that fit them, plus the summed forcing g at one time."""
-    fields = {"diffusion": ("constant-diffusion", "variable-beta-zero"),
-              "wave": ("constant-diffusion", "variable-beta-zero"),
-              "pennes": ("constant-ones", "variable"),
-              "klein-gordon": ("constant-ones", "variable")}
+    """Each forcing profile of MMS_PAIRS, plus the summed forcing g at one
+    time."""
     out = {}
-    for name in PROBLEM_NAMES:
-        for preset in fields[name]:
-            problem = mms_problem(name, preset)
-            for m in range(len(problem.g.amplitudes)):
-                out[f"{name}-{preset}-mode{m}"] = (
-                    lambda x, y, g=problem.g, m=m: list(g.profiles(x, y))[m])
-            out[f"{name}-{preset}-g"] = (
-                lambda x, y, g=problem.g: g(x, y, 0.37))
+    for name, preset in MMS_PAIRS:
+        problem = mms_problem(name, preset)
+        for m in range(len(problem.g.amplitudes)):
+            out[f"{name}-{preset}-mode{m}"] = (
+                lambda x, y, g=problem.g, m=m: list(g.profiles(x, y))[m])
+        out[f"{name}-{preset}-g"] = (
+            lambda x, y, g=problem.g: g(x, y, 0.37))
     return out
 
 
@@ -368,6 +372,30 @@ def oracle_mesh(k, jitter):
     rng = np.random.default_rng(k)
     return replace(mesh, nodes=mesh.nodes + rng.uniform(
         -0.2 * mesh.h, 0.2 * mesh.h, mesh.nodes.shape))
+
+
+def record_field_calls(assemble):
+    """The (x, y) of every call assemble(f) makes of a field f, each
+    checked to be a C-contiguous float64 array."""
+    calls = []
+
+    def f(x, y):
+        assert all(c.dtype == np.float64 and c.flags.c_contiguous for c in (x, y))
+        calls.append((x, y))
+        return 2.0 + x * y  # > 0, a valid alpha and beta
+
+    assemble(f)
+    return calls
+
+
+def assert_points_of(mesh, calls):
+    """The x and y of the calls, one a chunk in order, broadcast to the
+    chunk's points and stacked, are bit for bit the quadrature points of
+    the plain formula."""
+    full = [np.broadcast_arrays(x, y) for x, y in calls]
+    for c in (0, 1):
+        got = np.concatenate([xy[c].reshape(-1, len(QUAD_WEIGHTS)) for xy in full])
+        assert_same_bits(got, ref_quad_xy(mesh)[..., c])
 
 
 MESHES = [(k, jitter) for k in (1, 2, 3, 4, 5) for jitter in (False, True)]
@@ -400,7 +428,7 @@ class TestBitForBit:
     def test_load(self, k, jitter):
         mesh = oracle_mesh(k, jitter)
         profiles = dict(forcing_profiles(), scalar=lambda x, y: 2.5,
-                        column=lambda x, y: x[:, :1] ** 2)
+                        column=lambda x, y: x[..., :1] ** 2)
         for f in profiles.values():
             assert_same_bits(assemble_load(mesh, f), ref_load(mesh, f))
 
@@ -416,33 +444,51 @@ class TestBitForBit:
                                 ref_stiffness(mesh, coeff, coo_scatter))
 
     def test_load_calls_f_once_on_contiguous_points(self):
-        mesh = build_mesh(3)
-        calls = []
-
-        def f(x, y):
-            calls.append((x.shape, y.shape, x.dtype, y.dtype,
-                          x.flags.c_contiguous, y.flags.c_contiguous))
-            return x * y
-
-        assemble_load(mesh, f)
-        shape = (mesh.num_triangles, len(QUAD_WEIGHTS))
-        assert calls == [(shape, shape, np.float64, np.float64, True, True)]
+        # one chunk (T = 128): x of its first square row and y of its first
+        # square column on the plain grid, both full on a jittered mesh
+        for jitter in (False, True):
+            mesh = oracle_mesh(3, jitter)
+            n, Q = mesh.n, len(QUAD_WEIGHTS)
+            calls = record_field_calls(lambda f: assemble_load(mesh, f))
+            shapes = ((1, n, 2, Q), (n, 1, 2, Q)) if not jitter else ((n, n, 2, Q),) * 2
+            assert [(x.shape, y.shape) for x, y in calls] == [shapes]
+            assert_points_of(mesh, calls)
 
     def test_load_calls_f_once_a_chunk(self, monkeypatch):
-        # one square row (2n triangles) a chunk: one call each, in order
+        # one square row (2n triangles) a chunk: one call each, in order,
+        # as for the variable stiffness's alpha and beta
         monkeypatch.setattr(assembly, "CHUNK_TRIANGLES", 1)
-        mesh = build_mesh(3)
-        calls = []
+        field = coefficient_preset("variable")
+        for jitter in (False, True):
+            mesh = oracle_mesh(3, jitter)
+            n, Q = mesh.n, len(QUAD_WEIGHTS)
+            shapes = ((1, n, 2, Q), (1, 1, 2, Q)) if not jitter else ((1, n, 2, Q),) * 2
+            calls = record_field_calls(lambda f: assemble_load(mesh, f))
+            assert [(x.shape, y.shape) for x, y in calls] == [shapes] * n
+            assert_points_of(mesh, calls)
+            calls = record_field_calls(lambda f: assemble_stiffness(
+                mesh, replace(field, alpha=f, beta=f)))
+            assert [(x.shape, y.shape) for x, y in calls] == [shapes] * (2 * n)
+            assert_points_of(mesh, calls[::2])
 
-        def f(x, y):
-            calls.append((x.shape, y.shape, x.dtype, y.dtype,
-                          x.flags.c_contiguous, y.flags.c_contiguous))
-            return x * y
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_compact_coordinates_give_the_bytes_of_full_ones(self, k, monkeypatch):
+        # against the full coordinates a moved-node mesh gets, forced here
+        # on the plain grid; k=7 has 16 chunks (about 1.2 s for both k, one
+        # BLAS thread, 2-core x86_64 host)
+        mesh = build_mesh(k)
+        problems = [mms_problem(name, preset) for name, preset in MMS_PAIRS]
 
-        assemble_load(mesh, f)
-        shape = (2 * mesh.n, len(QUAD_WEIGHTS))
-        assert calls == [(shape, shape, np.float64, np.float64, True, True)] * mesh.n
-        assert sum(x_shape[0] for x_shape, *_ in calls) == mesh.num_triangles
+        def assemble_all():
+            return ([assemble_mass(mesh).data]
+                    + [assemble_stiffness(mesh, coefficient_preset(name)).data
+                       for name in PRESETS]
+                    + [forcing_loads(problem, mesh) for problem in problems])
+
+        compact = assemble_all()
+        monkeypatch.setattr(assembly, "_compact_coordinates", lambda mesh: False)
+        for a, b in zip(compact, assemble_all(), strict=True):
+            assert_same_bits(a, b)
 
 
 @pytest.mark.usefixtures("chunk")

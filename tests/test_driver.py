@@ -452,8 +452,9 @@ def same_bits(a, b):
 
 @pytest.fixture(scope="module")
 def quad_points_k5():
-    """The x and y of the degree-4 rule's points on build_mesh(5), the
-    C-contiguous (T, 6) arrays assembly hands to a forcing profile."""
+    """The x and y of the degree-4 rule's points on build_mesh(5), as
+    assembly hands them to a forcing profile (compact on this grid),
+    broadcast to every point: two C-contiguous (T, 6) arrays."""
     seen = []
 
     def record(x, y):
@@ -461,7 +462,7 @@ def quad_points_k5():
         return x
 
     assembly.assemble_load(build_mesh(5), record)
-    return seen[0]
+    return [np.ascontiguousarray(c).reshape(-1, 6) for c in np.broadcast_arrays(*seen[0])]
 
 
 class TestForcingClosedForms:

@@ -466,6 +466,20 @@ class TestSolve:
         with pytest.raises(FactorizationError):
             op.solve(np.ones(op.size))
 
+    @pytest.mark.parametrize("subsolve", ["exact", "vcycle"])
+    def test_complex_stage_vectors_are_refused(self, subsolve):
+        # numpy's cast to float would drop Im(r) with only a ComplexWarning,
+        # so a real operator given (1+1j) r would return its result for r
+        mesh = build_mesh(2)
+        M, F = assemble_mass(mesh), assemble_stiffness(mesh, coefficient_preset("variable"))
+        prec = build_preconditioner(radau_iia(2), "LD", M, F, 0.3, 1, subsolve=subsolve)
+        r = np.random.default_rng(2).standard_normal(prec.size)
+        for method in (prec.apply, prec.apply_transpose, prec.solve, prec.solve_transpose):
+            with pytest.raises(TypeError, match=r"float64.*complex128"):
+                method((1 + 1j) * r)
+            # real input of another type is still cast, to the same bytes
+            assert method(r.tolist()).tobytes() == method(r).tobytes()
+
 
 class TestFactor:
     """The symmetric-ordering LUs of the blocks M + c F at mesh size."""
